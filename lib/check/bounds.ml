@@ -286,16 +286,14 @@ let fused_results ~widths () =
                (Access.pin s "w" w))
            widths)
     Xpose_cpu.Fused.Summary.panel_passes
-  (* The kernel-tier axis: the mk summary's [bk] parameter quantifies
-     over every unroll depth at once; these entries additionally pin it
-     at each shipped tier's block so the certificate the autotuner's
-     choice rests on is named in the grid (still no shape enumerated). *)
-  @ List.map
-      (fun bk ->
-        certify
-          ~subject:(Printf.sprintf "fused.rotate_fine_mk bk=%d" bk)
-          (Access.pin Xpose_cpu.Fused.Summary.fine_mk "bk" bk))
-      [ 8; 16 ]
+  (* The mk summary's [bk] parameter quantifies over every unroll depth
+     at once; this entry additionally pins it at the shipped
+     [Microkernel.col8] edge, so the certificate the engine's inner
+     loop rests on is named in the grid (still no shape enumerated). *)
+  @ [
+      certify ~subject:"fused.rotate_fine_mk bk=8"
+        (Access.pin Xpose_cpu.Fused.Summary.fine_mk "bk" 8);
+    ]
 
 let ooc_results () =
   List.map
@@ -303,7 +301,7 @@ let ooc_results () =
       certify ~subject:(Printf.sprintf "%s" s.pass) s)
     Xpose_ooc.Ooc_access.all
 
-(* Roll-up entries: an engine (or batch policy, or ooc pipeline) is
+(* Roll-up entries: an engine (or the batch driver, or ooc pipeline) is
    certified when every pass certificate it schedules is. These carry
    no new proofs -- they make the grid answer "is engine X safe for all
    shapes?" directly. *)
@@ -367,21 +365,13 @@ let engine_rollups results =
     ]
   in
   let batch =
-    List.map
-      (fun (policy, why) ->
-        rollup results
-          ~subject:(Printf.sprintf "batch %s" policy)
-          ~detail:why
-          ~passes:
-            (panel_passes @ pass_names Xpose_cpu.Fused.Summary.c2r_passes))
-      [
-        ( "auto",
+    [
+      rollup results ~subject:"batch"
+        ~detail:
           "matrix-parallel (serial engine per lane) or panel-parallel \
-           (pool pipeline); both reduce to the fused certificates" );
-        ("matrix-parallel", "each lane runs the serial fused pipeline");
-        ("panel-parallel", "pool pipeline; chunk sub-ranges are quantified");
-        ("hybrid:2", "policy only picks between the two certified schedules");
-      ]
+           (pool pipeline); both reduce to the fused certificates"
+        ~passes:(panel_passes @ pass_names Xpose_cpu.Fused.Summary.c2r_passes);
+    ]
   in
   let ooc =
     [
@@ -400,7 +390,7 @@ let seeded_result () =
   certify ~subject:"seeded/rotate-oob"
     (Access.Passes.seeded_oob_rotate Access.Ix.rotate_amount)
 
-let run ?(widths = Xpose_core.Tune_params.supported_widths)
+let run ?(widths = Xpose_cpu.Fused_f64.supported_widths)
     ?(seed_oob_static = false) () : result list =
   let base = kernel_results () @ fused_results ~widths () @ ooc_results () in
   let rollups = engine_rollups base in

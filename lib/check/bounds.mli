@@ -44,7 +44,7 @@ val seeded_result : unit -> result
 val run : ?widths:int list -> ?seed_oob_static:bool -> unit -> result list
 (** The full certificate grid: kernel pipeline passes, fused panel
     passes (symbolic width plus each pinned width, default
-    {!Xpose_core.Tune_params.supported_widths}), out-of-core passes,
-    per-engine and per-batch-policy roll-ups, and -- when
+    {!Xpose_cpu.Fused_f64.supported_widths}), out-of-core passes,
+    per-engine and batch-driver roll-ups, and -- when
     [seed_oob_static] -- the seeded off-by-one summary that must be
     refuted. *)

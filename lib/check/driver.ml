@@ -147,8 +147,8 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
   let split =
     if seeded then Footprint.off_by_one_split else Footprint.pool_split
   in
-  (* Panel engines are proved at every width the autotuner may pick;
-     the row/column engines have no panel geometry, so one entry each
+  (* Panel engines are proved at every supported panel width; the
+     row/column engines have no panel geometry, so one entry each
      suffices. *)
   let panel_engine engine =
     match (engine : Spec.engine) with
@@ -156,24 +156,8 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
     | Spec.Functor | Spec.Kernels | Spec.Decomposed -> false
   in
   let widths_of engine =
-    if panel_engine engine then Tune_params.supported_widths
+    if panel_engine engine then Xpose_cpu.Fused_f64.supported_widths
     else [ Footprint.default_panel_width ]
-  in
-  (* The kernel-tier axis exists only under the fused engine. A tier
-     reorders accesses {e within} one lane's own panel (the micro-kernel
-     walks block tiles through the same column group) and never moves
-     work across lanes, so every tier shares the panel barrier model;
-     the grid still names each tier so a seeded split is detected — and
-     a clean split proved — at every tier the autotuner can pick. *)
-  let tiers_of engine =
-    match (engine : Spec.engine) with
-    | Spec.Fused -> Tune_params.supported_tiers
-    | Spec.Cache | Spec.Functor | Spec.Kernels | Spec.Decomposed ->
-        [ Tune_params.Scalar ]
-  in
-  let tier_tag = function
-    | Tune_params.Scalar -> ""
-    | t -> Printf.sprintf "/%s" (Tune_params.tier_to_string t)
   in
   let engine_entries =
     List.concat_map
@@ -182,35 +166,28 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
           (fun engine ->
             List.concat_map
               (fun l ->
-                List.concat_map
+                List.filter_map
                   (fun width ->
-                    List.filter_map
-                      (fun tier ->
-                        let subject =
-                          if panel_engine engine then
-                            Printf.sprintf "%s%s w%d %dx%d @%d lanes"
-                              (Spec.engine_name engine) (tier_tag tier) width
-                              m n l
-                          else
-                            Printf.sprintf "%s %dx%d @%d lanes"
-                              (Spec.engine_name engine) m n l
-                        in
-                        race_entry ~subject ~seeded
-                          (Footprint.transpose_barriers ~split ~width ~engine
-                             ~lanes:l ~m ~n ()))
-                      (tiers_of engine))
+                    let subject =
+                      if panel_engine engine then
+                        Printf.sprintf "%s w%d %dx%d @%d lanes"
+                          (Spec.engine_name engine) width m n l
+                      else
+                        Printf.sprintf "%s %dx%d @%d lanes"
+                          (Spec.engine_name engine) m n l
+                    in
+                    race_entry ~subject ~seeded
+                      (Footprint.transpose_barriers ~split ~width ~engine
+                         ~lanes:l ~m ~n ()))
                   (widths_of engine))
               lanes)
           Spec.all_engines)
       shapes
   in
-  (* Every tunable batch-split policy is proved at every batch size the
-     policies disagree on, and at every supported panel width (the
-     panel-parallel side inherits the panel barriers). *)
-  let batch_policies =
-    Tune_params.
-      [ Auto; Matrix_parallel; Panel_parallel; Hybrid 2 ]
-  in
+  (* The batch driver is proved on both sides of its matrix- vs
+     panel-parallel switch (fewer matrices than lanes, exactly one per
+     lane, more), at every supported panel width (the panel-parallel
+     side inherits the panel barriers). *)
   let batch_entries =
     List.concat_map
       (fun (m, n) ->
@@ -218,25 +195,16 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
           (fun l ->
             List.concat_map
               (fun nb ->
-                List.concat_map
-                  (fun policy ->
-                    List.concat_map
-                      (fun width ->
-                        List.filter_map
-                          (fun tier ->
-                            let subject =
-                              Printf.sprintf "batch[%d] %s w%d%s %dx%d @%d \
-                                              lanes"
-                                nb
-                                (Tune_params.split_to_string policy)
-                                width (tier_tag tier) m n l
-                            in
-                            race_entry ~subject ~seeded
-                              (Footprint.batch_barriers ~split ~policy ~width
-                                 ~lanes:l ~m ~n ~nb ()))
-                          Tune_params.supported_tiers)
-                      Tune_params.supported_widths)
-                  batch_policies)
+                List.filter_map
+                  (fun width ->
+                    let subject =
+                      Printf.sprintf "batch[%d] w%d %dx%d @%d lanes" nb width
+                        m n l
+                    in
+                    race_entry ~subject ~seeded
+                      (Footprint.batch_barriers ~split ~width ~lanes:l ~m ~n
+                         ~nb ()))
+                  Xpose_cpu.Fused_f64.supported_widths)
               [ 1; l; (2 * l) + 1 ])
           lanes)
       [ (32, 48); (97, 89) ]
@@ -329,44 +297,34 @@ let shadow_entries ~shapes () =
             transposed_ok ~m ~n buf))
       small
   in
-  (* The fused shadow runs cover every kernel tier: the non-scalar
-     tiers rerun the transpose through the checked micro-kernel twins
+  (* The fused shadow runs go through the checked micro-kernel twins
      ([Microkernel.Checked]), so an out-of-bounds unrolled mover or a
      bad tail handoff trips a Violation here, not UB in the raw path. *)
-  let tier_tag = function
-    | Xpose_core.Tune_params.Scalar -> ""
-    | t -> Printf.sprintf "[%s]" (Xpose_core.Tune_params.tier_to_string t)
-  in
-  let per_tier kind run =
-    List.concat_map
+  let fused_runs kind run =
+    List.map
       (fun (m, n) ->
-        List.map
-          (fun tier ->
-            shadow_entry
-              ~subject:
-                (Printf.sprintf "%s%s %dx%d" kind (tier_tag tier) m n)
-              (fun () -> run ~tier ~m ~n))
-          Xpose_core.Tune_params.supported_tiers)
+        shadow_entry ~subject:(Printf.sprintf "%s %dx%d" kind m n) (fun () ->
+            run ~m ~n))
       small
   in
   let fused =
-    per_tier "fused" (fun ~tier ~m ~n ->
+    fused_runs "fused" (fun ~m ~n ->
         let buf = iota_buf (m * n) in
-        Xpose_cpu.Fused_f64.Checked.transpose ~tier ~m ~n buf;
+        Xpose_cpu.Fused_f64.Checked.transpose ~m ~n buf;
         transposed_ok ~m ~n buf)
   in
   let pool =
-    per_tier "fused-pool" (fun ~tier ~m ~n ->
+    fused_runs "fused-pool" (fun ~m ~n ->
         let buf = iota_buf (m * n) in
-        Xpose_cpu.Fused_f64.Checked.transpose_pool ~tier
-          Xpose_cpu.Pool.sequential ~m ~n buf;
+        Xpose_cpu.Fused_f64.Checked.transpose_pool Xpose_cpu.Pool.sequential
+          ~m ~n buf;
         transposed_ok ~m ~n buf)
   in
   let batch =
-    per_tier "fused-batch" (fun ~tier ~m ~n ->
+    fused_runs "fused-batch" (fun ~m ~n ->
         let bufs = Array.init 3 (fun _ -> iota_buf (m * n)) in
-        Xpose_cpu.Fused_f64.Checked.transpose_batch ~tier
-          Xpose_cpu.Pool.sequential ~m ~n bufs;
+        Xpose_cpu.Fused_f64.Checked.transpose_batch Xpose_cpu.Pool.sequential
+          ~m ~n bufs;
         Array.for_all (transposed_ok ~m ~n) bufs)
   in
   kernels @ fused @ pool @ batch

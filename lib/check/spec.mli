@@ -54,7 +54,7 @@ val probes : ?widths:int list -> m:int -> n:int -> unit -> int list
 (** Structured probe indices for a shape: border rows crossed with border
     columns, panel-edge columns ([wk - 1, wk, wk + 1] for every panel
     width [w] in [widths], default
-    {!Xpose_core.Tune_params.supported_widths}) and one column per
+    {!Xpose_cpu.Fused_f64.supported_widths}) and one column per
     [gcd(m, n)] residue class — the index classes where the engines'
     case splits live (rotation wrap, panel boundary, CRT residue
     selection). *)

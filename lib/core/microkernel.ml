@@ -12,9 +12,6 @@
 
 type buf = Storage.Float64.t
 
-let block8 = 8
-let block16 = 16
-
 module A1 = Bigarray.Array1
 
 (* Move 8 elements from a stride-[sstride] column of [src] into a
@@ -39,14 +36,6 @@ let[@inline] col8 ~(src : buf) ~soff ~sstride ~(dst : buf) ~doff ~dstride =
   A1.unsafe_set dst d (A1.unsafe_get src s);
   let s = s + sstride and d = d + dstride in
   A1.unsafe_set dst d (A1.unsafe_get src s)
-
-let[@inline] col16 ~src ~soff ~sstride ~dst ~doff ~dstride =
-  col8 ~src ~soff ~sstride ~dst ~doff ~dstride;
-  col8 ~src
-    ~soff:(soff + (8 * sstride))
-    ~sstride ~dst
-    ~doff:(doff + (8 * dstride))
-    ~dstride
 
 (* Unit-stride 8- and 16-element row copies. *)
 let[@inline] row8 ~(src : buf) ~soff ~(dst : buf) ~doff =
@@ -78,40 +67,6 @@ let copy_span ~src ~soff ~dst ~doff ~len =
     A1.unsafe_set dst (doff + k) (A1.unsafe_get src (soff + k))
   done
 
-(* In-register tile transposes: column [j] of the source tile becomes
-   row [j] of the destination tile, so each column mover's writes are
-   unit-stride. *)
-let transpose8 ~src ~soff ~sstride ~dst ~doff ~dstride =
-  col8 ~src ~soff ~sstride ~dst ~doff ~dstride:1;
-  col8 ~src ~soff:(soff + 1) ~sstride ~dst ~doff:(doff + dstride) ~dstride:1;
-  col8 ~src ~soff:(soff + 2) ~sstride ~dst
-    ~doff:(doff + (2 * dstride))
-    ~dstride:1;
-  col8 ~src ~soff:(soff + 3) ~sstride ~dst
-    ~doff:(doff + (3 * dstride))
-    ~dstride:1;
-  col8 ~src ~soff:(soff + 4) ~sstride ~dst
-    ~doff:(doff + (4 * dstride))
-    ~dstride:1;
-  col8 ~src ~soff:(soff + 5) ~sstride ~dst
-    ~doff:(doff + (5 * dstride))
-    ~dstride:1;
-  col8 ~src ~soff:(soff + 6) ~sstride ~dst
-    ~doff:(doff + (6 * dstride))
-    ~dstride:1;
-  col8 ~src ~soff:(soff + 7) ~sstride ~dst
-    ~doff:(doff + (7 * dstride))
-    ~dstride:1
-
-let transpose16 ~src ~soff ~sstride ~dst ~doff ~dstride =
-  let j = ref 0 in
-  while !j < 16 do
-    col16 ~src ~soff:(soff + !j) ~sstride ~dst
-      ~doff:(doff + (!j * dstride))
-      ~dstride:1;
-    incr j
-  done
-
 module Checked = struct
   module S = Storage.Float64
 
@@ -125,37 +80,16 @@ module Checked = struct
     Checked_access.bounds ~who ~what ~len:(S.length buf) i;
     S.set buf i v
 
-  let col ~edge ~src ~soff ~sstride ~dst ~doff ~dstride =
-    for t = 0 to edge - 1 do
+  let col8 ~src ~soff ~sstride ~dst ~doff ~dstride =
+    for t = 0 to 7 do
       set dst ~what:"col write"
         (doff + (t * dstride))
         (get src ~what:"col read" (soff + (t * sstride)))
     done
-
-  let col8 = col ~edge:8
-  let col16 = col ~edge:16
-
-  let row ~edge ~src ~soff ~dst ~doff =
-    for k = 0 to edge - 1 do
-      set dst ~what:"row write" (doff + k) (get src ~what:"row read" (soff + k))
-    done
-
-  let row8 = row ~edge:8
-  let row16 = row ~edge:16
 
   let copy_span ~src ~soff ~dst ~doff ~len =
     for k = 0 to len - 1 do
       set dst ~what:"span write" (doff + k)
         (get src ~what:"span read" (soff + k))
     done
-
-  let transpose ~edge ~src ~soff ~sstride ~dst ~doff ~dstride =
-    for j = 0 to edge - 1 do
-      col ~edge ~src ~soff:(soff + j) ~sstride ~dst
-        ~doff:(doff + (j * dstride))
-        ~dstride:1
-    done
-
-  let transpose8 = transpose ~edge:8
-  let transpose16 = transpose ~edge:16
 end

@@ -1,13 +1,11 @@
 (** In-register blocked micro-kernels for float64 tile movement.
 
-    The movers below are the unsafe inner tier of the fused engine's
-    [mk8]/[mk16] kernel tiers (see {!Tune_params.kernel_tier}): fully
-    unrolled straight-line load/store sequences with strength-reduced
-    index increments, written so flambda emits flat branch-free code.
-    An 8x8 or 16x16 tile move decomposes into per-column strided
-    movers ({!col8}/{!col16}) and per-row unit-stride copies
-    ({!row8}/{!row16}); {!transpose8}/{!transpose16} compose them into
-    the classic in-register blocked transpose of the paper's §6.
+    The movers below are the unsafe inner loop of the fused engine
+    ({!Xpose_cpu.Fused_f64}): fully unrolled straight-line load/store
+    sequences with strength-reduced index increments, written so
+    flambda emits flat branch-free code. The fine-phase gather moves
+    8-row tiles one panel column at a time through {!col8}, and every
+    sub-row move goes through the chunked {!copy_span}.
 
     No access is bounds checked. Callers must guarantee every
     footprint — the fused engine's tile loops are certified
@@ -16,12 +14,6 @@
 
 type buf = Storage.Float64.t
 
-val block8 : int
-(** 8 — tile edge of the [mk8] tier (one 64-byte cache line of f64). *)
-
-val block16 : int
-(** 16 — tile edge of the [mk16] tier (a 128-byte line pair). *)
-
 val col8 :
   src:buf -> soff:int -> sstride:int -> dst:buf -> doff:int -> dstride:int ->
   unit
@@ -29,34 +21,9 @@ val col8 :
     [src.(soff + t*sstride)] to [dst.(doff + t*dstride)] for
     [t in 0..7], fully unrolled. *)
 
-val col16 :
-  src:buf -> soff:int -> sstride:int -> dst:buf -> doff:int -> dstride:int ->
-  unit
-(** 16-element strided column mover; same contract as {!col8}. *)
-
-val row8 : src:buf -> soff:int -> dst:buf -> doff:int -> unit
-(** Unit-stride 8-element copy [src.(soff+k) -> dst.(doff+k)]. *)
-
-val row16 : src:buf -> soff:int -> dst:buf -> doff:int -> unit
-(** Unit-stride 16-element copy. *)
-
 val copy_span : src:buf -> soff:int -> dst:buf -> doff:int -> len:int -> unit
 (** Chunked unit-stride copy of [len] elements: unrolled 16- then
     8-wide chunks, scalar tail. The two spans must not overlap. *)
-
-val transpose8 :
-  src:buf -> soff:int -> sstride:int -> dst:buf -> doff:int -> dstride:int ->
-  unit
-(** [transpose8] writes the transpose of the 8x8 tile whose rows start
-    at [soff + i*sstride] into the tile whose rows start at
-    [doff + j*dstride]: [dst.(doff + j*dstride + i) =
-    src.(soff + i*sstride + j)]. Source and destination tiles must be
-    disjoint. *)
-
-val transpose16 :
-  src:buf -> soff:int -> sstride:int -> dst:buf -> doff:int -> dstride:int ->
-  unit
-(** 16x16 blocked transpose; same contract as {!transpose8}. *)
 
 (** Runtime-verified shadow twins: identical movement, every access
     bounds checked through {!Checked_access}
@@ -66,21 +33,6 @@ module Checked : sig
     src:buf -> soff:int -> sstride:int -> dst:buf -> doff:int ->
     dstride:int -> unit
 
-  val col16 :
-    src:buf -> soff:int -> sstride:int -> dst:buf -> doff:int ->
-    dstride:int -> unit
-
-  val row8 : src:buf -> soff:int -> dst:buf -> doff:int -> unit
-  val row16 : src:buf -> soff:int -> dst:buf -> doff:int -> unit
-
   val copy_span :
     src:buf -> soff:int -> dst:buf -> doff:int -> len:int -> unit
-
-  val transpose8 :
-    src:buf -> soff:int -> sstride:int -> dst:buf -> doff:int ->
-    dstride:int -> unit
-
-  val transpose16 :
-    src:buf -> soff:int -> sstride:int -> dst:buf -> doff:int ->
-    dstride:int -> unit
 end

@@ -104,17 +104,11 @@ let pp ppf t =
 module Cache = struct
   type plan = t
 
-  type entry = {
-    plan : plan;
-    params : Tune_params.t;
-    mutable stamp : int;
-  }
+  type entry = { plan : plan; mutable stamp : int }
 
-  (* The key carries the tuned parameters, not just the shape: two
-     callers tuning the same shape differently (another engine, another
-     panel width) must not alias to one entry, or the serving path would
-     run whichever configuration happened to be cached first. *)
-  type key = int * int * Tune_params.t
+  (* A plan depends on the shape alone: every caller of one shape, at
+     any panel width or worker count, shares one entry. *)
+  type key = int * int
 
   type t = {
     capacity : int;
@@ -162,8 +156,8 @@ module Cache = struct
         Xpose_obs.Metrics.incr (Lazy.force m_evictions)
     | None -> ()
 
-  let get ?(cache = default) ?(params = Tune_params.default) ~m ~n () =
-    let key = (m, n, params) in
+  let get ?(cache = default) ~m ~n () =
+    let key = (m, n) in
     Mutex.lock cache.mutex;
     cache.clock <- cache.clock + 1;
     match Hashtbl.find_opt cache.table key with
@@ -186,25 +180,10 @@ module Cache = struct
         (if not (Hashtbl.mem cache.table key) then begin
            if Hashtbl.length cache.table >= cache.capacity then
              evict_lru cache;
-           Hashtbl.replace cache.table key
-             { plan; params; stamp = cache.clock }
+           Hashtbl.replace cache.table key { plan; stamp = cache.clock }
          end);
         Mutex.unlock cache.mutex;
         plan
-
-  (* Every parameter variant cached for a shape, most recent first.
-     The serving path uses this to recover the tuned configuration a
-     hot shape last ran with without consulting the tuning DB. *)
-  let cached_params ?(cache = default) ~m ~n () =
-    Mutex.lock cache.mutex;
-    let found =
-      Hashtbl.fold
-        (fun (km, kn, _) e acc ->
-          if km = m && kn = n then (e.stamp, e.params) :: acc else acc)
-        cache.table []
-    in
-    Mutex.unlock cache.mutex;
-    List.sort (fun (a, _) (b, _) -> compare b a) found |> List.map snd
 
   (* Readers take the mutex too: the server resolves plans from several
      domains at once, and unsynchronized reads of the mutable totals are

@@ -8,7 +8,7 @@ module Make (S : Storage.S) = struct
 
   let default_width = 16
   let default_block_rows = 64
-  let supported_widths = Tune_params.supported_widths
+  let supported_widths = [ 8; 16; 32; 64 ]
 
   let get_ws = function Some ws -> ws | None -> Ws.create ()
 
@@ -304,19 +304,13 @@ module Make (S : Storage.S) = struct
     let rm, rn =
       match order with Layout.Row_major -> (m, n) | Layout.Col_major -> (n, m)
     in
-    let params =
-      {
-        Tune_params.default with
-        panel_width = Option.value width ~default:default_width;
-      }
-    in
     if rm > rn then
       c2r ?panel_width:width ?block_rows ?ws
-        (Plan.Cache.get ?cache ~params ~m:rm ~n:rn ())
+        (Plan.Cache.get ?cache ~m:rm ~n:rn ())
         buf
     else
       r2c ?panel_width:width ?block_rows ?ws
-        (Plan.Cache.get ?cache ~params ~m:rn ~n:rm ())
+        (Plan.Cache.get ?cache ~m:rn ~n:rm ())
         buf
 end
 
@@ -473,7 +467,7 @@ module Summary = struct
       exact = false;
     }
 
-  (* The micro-kernel tier's fine rotation. The distinctive new loop
+  (* Fused_f64's micro-kernel fine rotation. The distinctive loop
      nest is the fully-unwrapped tile region: every unrolled column
      mover reads [bk] consecutive source rows with NO per-element wrap
      test, so in-bounds there is exactly the unwrap precondition
@@ -508,7 +502,7 @@ module Summary = struct
               name = "bk";
               p_lo = Const 1;
               p_his = [ var "block_rows"; m -: var "maxres" ];
-              sample = [ 1; 2; 8; 16 ];
+              sample = [ 1; 2; 8 ];
             };
           ];
       regions =

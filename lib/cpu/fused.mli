@@ -35,9 +35,9 @@ module Make (S : Xpose_core.Storage.S) : sig
   (** Rows per strip of the fine rotation phase (64). *)
 
   val supported_widths : int list
-  (** The panel widths the autotuner searches and the check layer
-      verifies ({!Xpose_core.Tune_params.supported_widths}); any
-      positive [?panel_width] is still accepted and correct. *)
+  (** The panel widths the check layer proves and the tests sweep:
+      [[8; 16; 32; 64]]. Any positive [?panel_width] is still accepted
+      and correct. *)
 
   val cycles :
     whom:string -> m:int -> index:(int -> int) -> int array array
@@ -180,13 +180,13 @@ module Summary : sig
   val fine : Xpose_core.Access.summary
 
   val fine_mk : Xpose_core.Access.summary
-  (** The micro-kernel tier's fine rotation: the fully-unwrapped tile
-      region's unguarded [bk]-row column movers (parameter [bk] in
+  (** [Fused_f64]'s micro-kernel fine rotation: the fully-unwrapped
+      tile region's unguarded [bk]-row column movers (parameter [bk] in
       [1, min(block_rows, m - maxres)] — the engine's own fast-path
       preconditions) plus the guarded scalar tail. Certifying this
       summary proves the unrolled movers in bounds {e without} the
-      wrap test the scalar path relies on. Pin [bk] at 8 or 16 for the
-      per-tier grid entries. *)
+      wrap test the guarded gather relies on. The certificate pins
+      [bk] at 8, the {!Xpose_core.Microkernel.col8} tile edge. *)
 
   val permute : Xpose_core.Access.summary
   val panel_passes : Xpose_core.Access.summary list

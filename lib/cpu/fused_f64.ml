@@ -67,7 +67,6 @@ let get_workspaces ?workspaces pool =
    either. *)
 module type PRIMS = sig
   val rotate_panel :
-    tier:Tune_params.kernel_tier ->
     block_rows:int ->
     Ws.t ->
     Plan.t ->
@@ -79,7 +78,6 @@ module type PRIMS = sig
     unit
 
   val permute_panel :
-    tier:Tune_params.kernel_tier ->
     Ws.t ->
     buf ->
     n:int ->
@@ -94,56 +92,40 @@ end
 
 module Prims = struct
   (* -- monomorphic sub-row primitives -----------------------------------
-     Explicit unsafe loops instead of [Bigarray.Array1.sub]+[blit]: the sub
-     views are heap allocations per transfer, and for the 16-element panel
-     width a direct loop vectorizes at least as well. Under an mk tier
-     ([mk = true]) the sub-row moves go through the unrolled
-     {!Microkernel.copy_span} chunks instead. *)
+     Every sub-row move goes through the unrolled
+     {!Microkernel.copy_span} chunks: no [Bigarray.Array1.sub] view (a
+     heap allocation per transfer), no per-element loop overhead. *)
 
-  let copy_subrow ~mk (buf : buf) ~n ~lo ~w ~src ~dst =
-    let sb = (src * n) + lo and db = (dst * n) + lo in
-    if mk then Microkernel.copy_span ~src:buf ~soff:sb ~dst:buf ~doff:db ~len:w
-    else
-      for jj = 0 to w - 1 do
-        unsafe_set buf (db + jj) (unsafe_get buf (sb + jj))
-      done
+  let copy_subrow (buf : buf) ~n ~lo ~w ~src ~dst =
+    Microkernel.copy_span ~src:buf ~soff:((src * n) + lo) ~dst:buf
+      ~doff:((dst * n) + lo) ~len:w
 
-  let save_subrow ~mk (buf : buf) ~n ~lo ~w ~row (line : buf) =
-    let base = (row * n) + lo in
-    if mk then
-      Microkernel.copy_span ~src:buf ~soff:base ~dst:line ~doff:0 ~len:w
-    else
-      for jj = 0 to w - 1 do
-        unsafe_set line jj (unsafe_get buf (base + jj))
-      done
+  let save_subrow (buf : buf) ~n ~lo ~w ~row (line : buf) =
+    Microkernel.copy_span ~src:buf ~soff:((row * n) + lo) ~dst:line ~doff:0
+      ~len:w
 
-  let restore_subrow ~mk (line : buf) (buf : buf) ~n ~lo ~w ~row =
-    let base = (row * n) + lo in
-    if mk then
-      Microkernel.copy_span ~src:line ~soff:0 ~dst:buf ~doff:base ~len:w
-    else
-      for jj = 0 to w - 1 do
-        unsafe_set buf (base + jj) (unsafe_get line jj)
-      done
+  let restore_subrow (line : buf) (buf : buf) ~n ~lo ~w ~row =
+    Microkernel.copy_span ~src:line ~soff:0 ~dst:buf ~doff:((row * n) + lo)
+      ~len:w
 
   (* Coarse phase of §4.6: cycle-following rotation of the whole panel by a
      shared amount k (gcd(m, k) analytic cycles). *)
-  let rotate_coarse ~mk (buf : buf) ~m ~n ~lo ~w ~k ~line =
+  let rotate_coarse (buf : buf) ~m ~n ~lo ~w ~k ~line =
     if k <> 0 then begin
       let cycles = Intmath.gcd m k in
       for y = 0 to cycles - 1 do
-        save_subrow ~mk buf ~n ~lo ~w ~row:y line;
+        save_subrow buf ~n ~lo ~w ~row:y line;
         let i = ref y in
         let continue = ref true in
         while !continue do
           let src = !i + k in
           let src = if src >= m then src - m else src in
           if src = y then begin
-            restore_subrow ~mk line buf ~n ~lo ~w ~row:!i;
+            restore_subrow line buf ~n ~lo ~w ~row:!i;
             continue := false
           end
           else begin
-            copy_subrow ~mk buf ~n ~lo ~w ~src ~dst:!i;
+            copy_subrow buf ~n ~lo ~w ~src ~dst:!i;
             i := src
           end
         done
@@ -173,7 +155,7 @@ module Prims = struct
       hb := !hb + w
     done
 
-  (* Scalar gather of strip rows [t0, rows) (absolute rows [r0+t0,
+  (* Guarded gather of strip rows [t0, rows) (absolute rows [r0+t0,
      r0+rows)) into the block buffer, wrapped rows from the saved head.
      Row bases are strength-reduced: the only per-element work is the
      wrap test and one add. *)
@@ -197,43 +179,17 @@ module Prims = struct
       tb := !tb + w
     done
 
-  let writeback_scalar (buf : buf) ~n ~lo ~w ~r0 ~rows ~(block : buf) =
-    let base = ref ((r0 * n) + lo) in
-    let tb = ref 0 in
-    for _t = 0 to rows - 1 do
-      let b = !base and s = !tb in
-      for jj = 0 to w - 1 do
-        unsafe_set buf (b + jj) (unsafe_get block (s + jj))
-      done;
-      base := !base + n;
-      tb := !tb + w
-    done
-
   (* Fine phase of §4.6: per-column residual rotations bounded by [w], read
      in strips of [block_rows] rows through the block buffer; wrapped rows
-     come from the saved head. *)
-  let rotate_fine (buf : buf) ~m ~n ~lo ~w ~(res : int array) ~maxres
-      ~block_rows ~(head : buf) ~(block : buf) =
-    if maxres > 0 then begin
-      let cb = column_bases ~n ~lo ~w ~res in
-      save_head buf ~n ~lo ~w ~maxres ~head;
-      let r = ref 0 in
-      while !r < m do
-        let rows = min block_rows (m - !r) in
-        gather_scalar buf ~m ~n ~w ~res ~cb ~r0:!r ~t0:0 ~rows ~head ~block;
-        writeback_scalar buf ~n ~lo ~w ~r0:!r ~rows ~block;
-        r := !r + rows
-      done
-    end
-
-  (* Micro-kernel fine phase: identical movement, but rows whose whole
-     [bk]-row chunk stays unwrapped ([r0 + t + bk - 1 + maxres < m])
-     gather through fully unrolled strided column movers — one
-     {!Microkernel.col8}/{!col16} call per panel column, no per-element
-     wrap test — and the strip writes back through unrolled
+     come from the saved head. Rows whose whole [bk]-row chunk stays
+     unwrapped ([r0 + t + bk - 1 + maxres < m]) gather through the fully
+     unrolled {!Microkernel.col8} mover — one call per panel column, no
+     per-element wrap test — and the strip writes back through unrolled
      {!Microkernel.copy_span} rows. The strip tail and the wrap region
-     take the strength-reduced scalar path. *)
-  let rotate_fine_mk ~bk (buf : buf) ~m ~n ~lo ~w ~(res : int array) ~maxres
+     take the guarded gather. *)
+  let bk = 8
+
+  let rotate_fine (buf : buf) ~m ~n ~lo ~w ~(res : int array) ~maxres
       ~block_rows ~(head : buf) ~(block : buf) =
     if maxres > 0 then begin
       let cb = column_bases ~n ~lo ~w ~res in
@@ -248,18 +204,11 @@ module Prims = struct
         while !t <= tmax do
           let ib = (!r + !t) * n in
           let tb = !t * w in
-          if bk = 8 then
-            for jj = 0 to w - 1 do
-              Microkernel.col8 ~src:buf
-                ~soff:(ib + Array.unsafe_get cb jj)
-                ~sstride:n ~dst:block ~doff:(tb + jj) ~dstride:w
-            done
-          else
-            for jj = 0 to w - 1 do
-              Microkernel.col16 ~src:buf
-                ~soff:(ib + Array.unsafe_get cb jj)
-                ~sstride:n ~dst:block ~doff:(tb + jj) ~dstride:w
-            done;
+          for jj = 0 to w - 1 do
+            Microkernel.col8 ~src:buf
+              ~soff:(ib + Array.unsafe_get cb jj)
+              ~sstride:n ~dst:block ~doff:(tb + jj) ~dstride:w
+          done;
           t := !t + bk
         done;
         if !t < rows then
@@ -276,8 +225,8 @@ module Prims = struct
       done
     end
 
-  let rotate_panel ~tier ~block_rows ws (p : Plan.t) (buf : buf) ~amount ~res
-      ~lo ~w =
+  let rotate_panel ~block_rows ws (p : Plan.t) (buf : buf) ~amount ~res ~lo ~w
+      =
     let m = p.m and n = p.n in
     let k, maxres =
       let k, mr = pick_residuals ~m ~lo ~w ~amount ~res lo in
@@ -285,35 +234,25 @@ module Prims = struct
       else pick_residuals ~m ~lo ~w ~amount ~res (lo + w - 1)
     in
     if maxres < w && maxres < m then begin
-      let mk = tier <> Tune_params.Scalar in
-      rotate_coarse ~mk buf ~m ~n ~lo ~w ~k ~line:(Ws.line ws w);
-      let head = Ws.head ws (w * w) in
-      let block = Ws.block ws (block_rows * w) in
-      match tier with
-      | Tune_params.Scalar ->
-          rotate_fine buf ~m ~n ~lo ~w ~res ~maxres ~block_rows ~head ~block
-      | Tune_params.Mk8 ->
-          rotate_fine_mk ~bk:8 buf ~m ~n ~lo ~w ~res ~maxres ~block_rows ~head
-            ~block
-      | Tune_params.Mk16 ->
-          rotate_fine_mk ~bk:16 buf ~m ~n ~lo ~w ~res ~maxres ~block_rows
-            ~head ~block
+      rotate_coarse buf ~m ~n ~lo ~w ~k ~line:(Ws.line ws w);
+      rotate_fine buf ~m ~n ~lo ~w ~res ~maxres ~block_rows
+        ~head:(Ws.head ws (w * w))
+        ~block:(Ws.block ws (block_rows * w))
     end
     else
       Kernels_f64.Phases.rotate_columns p buf ~tmp:(Ws.tmp ws m) ~amount ~lo
         ~hi:(lo + w)
 
-  let permute_panel ~tier ws (buf : buf) ~n ~cycles ~lo ~w =
-    let mk = tier <> Tune_params.Scalar in
+  let permute_panel ws (buf : buf) ~n ~cycles ~lo ~w =
     let line = Ws.line ws w in
     Array.iter
       (fun (chain : int array) ->
         let len = Array.length chain in
-        save_subrow ~mk buf ~n ~lo ~w ~row:chain.(0) line;
+        save_subrow buf ~n ~lo ~w ~row:chain.(0) line;
         for t = 0 to len - 2 do
-          copy_subrow ~mk buf ~n ~lo ~w ~src:chain.(t + 1) ~dst:chain.(t)
+          copy_subrow buf ~n ~lo ~w ~src:chain.(t + 1) ~dst:chain.(t)
         done;
-        restore_subrow ~mk line buf ~n ~lo ~w ~row:chain.(len - 1))
+        restore_subrow line buf ~n ~lo ~w ~row:chain.(len - 1))
       cycles
 
   let row_shuffle_gather = Kernels_f64.Phases.row_shuffle_gather
@@ -321,8 +260,9 @@ module Prims = struct
 end
 
 (* Checked twins of the panel primitives: every access to the matrix and
-   to the line/head/block workspace buffers is bounds-verified, and the
-   workspace buffers are verified distinct from the matrix
+   to the line/head/block workspace buffers is bounds-verified (the
+   unrolled movers through {!Microkernel.Checked}), and the workspace
+   buffers are verified distinct from the matrix
    ([Checked_access.Violation] on the first bad access). *)
 module Checked_prims = struct
   let who = "Fused_f64.Checked"
@@ -335,58 +275,35 @@ module Checked_prims = struct
     Checked_access.bounds ~who ~what ~len:(dim buf) i;
     unsafe_set buf i v
 
-  (* The mk-tier twins route the same tile structure through
-     {!Microkernel.Checked}: every unrolled mover access is bounds
-     verified, so the shadow run exercises exactly the tier the raw
-     engine would. *)
-  let copy_subrow ~mk (buf : buf) ~n ~lo ~w ~src ~dst =
-    let sb = (src * n) + lo and db = (dst * n) + lo in
-    if mk then
-      Microkernel.Checked.copy_span ~src:buf ~soff:sb ~dst:buf ~doff:db ~len:w
-    else
-      for jj = 0 to w - 1 do
-        cset buf "panel copy write" (db + jj)
-          (cget buf "panel copy read" (sb + jj))
-      done
+  let copy_subrow (buf : buf) ~n ~lo ~w ~src ~dst =
+    Microkernel.Checked.copy_span ~src:buf ~soff:((src * n) + lo) ~dst:buf
+      ~doff:((dst * n) + lo) ~len:w
 
-  let save_subrow ~mk (buf : buf) ~n ~lo ~w ~row (line : buf) =
-    let base = (row * n) + lo in
-    if mk then
-      Microkernel.Checked.copy_span ~src:buf ~soff:base ~dst:line ~doff:0
-        ~len:w
-    else
-      for jj = 0 to w - 1 do
-        cset line "panel line write" jj (cget buf "panel save read" (base + jj))
-      done
+  let save_subrow (buf : buf) ~n ~lo ~w ~row (line : buf) =
+    Microkernel.Checked.copy_span ~src:buf ~soff:((row * n) + lo) ~dst:line
+      ~doff:0 ~len:w
 
-  let restore_subrow ~mk (line : buf) (buf : buf) ~n ~lo ~w ~row =
-    let base = (row * n) + lo in
-    if mk then
-      Microkernel.Checked.copy_span ~src:line ~soff:0 ~dst:buf ~doff:base
-        ~len:w
-    else
-      for jj = 0 to w - 1 do
-        cset buf "panel restore write" (base + jj)
-          (cget line "panel line read" jj)
-      done
+  let restore_subrow (line : buf) (buf : buf) ~n ~lo ~w ~row =
+    Microkernel.Checked.copy_span ~src:line ~soff:0 ~dst:buf
+      ~doff:((row * n) + lo) ~len:w
 
-  let rotate_coarse ~mk (buf : buf) ~m ~n ~lo ~w ~k ~line =
+  let rotate_coarse (buf : buf) ~m ~n ~lo ~w ~k ~line =
     Checked_access.distinct ~who ~what:"panel line buffer" line buf;
     if k <> 0 then begin
       let cycles = Intmath.gcd m k in
       for y = 0 to cycles - 1 do
-        save_subrow ~mk buf ~n ~lo ~w ~row:y line;
+        save_subrow buf ~n ~lo ~w ~row:y line;
         let i = ref y in
         let continue = ref true in
         while !continue do
           let src = !i + k in
           let src = if src >= m then src - m else src in
           if src = y then begin
-            restore_subrow ~mk line buf ~n ~lo ~w ~row:!i;
+            restore_subrow line buf ~n ~lo ~w ~row:!i;
             continue := false
           end
           else begin
-            copy_subrow ~mk buf ~n ~lo ~w ~src ~dst:!i;
+            copy_subrow buf ~n ~lo ~w ~src ~dst:!i;
             i := src
           end
         done
@@ -407,11 +324,11 @@ module Checked_prims = struct
       done
     done
 
-  let rotate_fine ~tier (buf : buf) ~m ~n ~lo ~w ~(res : int array) ~maxres
+  let rotate_fine (buf : buf) ~m ~n ~lo ~w ~(res : int array) ~maxres
       ~block_rows ~(head : buf) ~(block : buf) =
     Checked_access.distinct ~who ~what:"panel head buffer" head buf;
     Checked_access.distinct ~who ~what:"panel block buffer" block buf;
-    let bk = Tune_params.tier_block tier in
+    let bk = Prims.bk in
     if maxres > 0 then begin
       for r = 0 to maxres - 1 do
         let base = (r * n) + lo in
@@ -424,42 +341,30 @@ module Checked_prims = struct
       while !r < m do
         let rows = min block_rows (m - !r) in
         let t = ref 0 in
-        if bk > 1 then begin
-          let tmax = min (rows - bk) (m - maxres - bk - !r) in
-          while !t <= tmax do
-            let ib = (!r + !t) * n in
-            let tb = !t * w in
-            for jj = 0 to w - 1 do
-              let soff = ib + (res.(jj) * n) + lo + jj in
-              if bk = 8 then
-                Microkernel.Checked.col8 ~src:buf ~soff ~sstride:n ~dst:block
-                  ~doff:(tb + jj) ~dstride:w
-              else
-                Microkernel.Checked.col16 ~src:buf ~soff ~sstride:n ~dst:block
-                  ~doff:(tb + jj) ~dstride:w
-            done;
-            t := !t + bk
-          done
-        end;
+        let tmax = min (rows - bk) (m - maxres - bk - !r) in
+        while !t <= tmax do
+          let ib = (!r + !t) * n in
+          let tb = !t * w in
+          for jj = 0 to w - 1 do
+            Microkernel.Checked.col8 ~src:buf
+              ~soff:(ib + (res.(jj) * n) + lo + jj)
+              ~sstride:n ~dst:block ~doff:(tb + jj) ~dstride:w
+          done;
+          t := !t + bk
+        done;
         if !t < rows then
           gather_scalar buf ~m ~n ~lo ~w ~res ~r0:!r ~t0:!t ~rows ~head ~block;
         for t = 0 to rows - 1 do
-          let base = ((!r + t) * n) + lo in
-          if bk > 1 then
-            Microkernel.Checked.copy_span ~src:block ~soff:(t * w) ~dst:buf
-              ~doff:base ~len:w
-          else
-            for jj = 0 to w - 1 do
-              cset buf "panel fine write" (base + jj)
-                (cget block "panel block read" ((t * w) + jj))
-            done
+          Microkernel.Checked.copy_span ~src:block ~soff:(t * w) ~dst:buf
+            ~doff:(((!r + t) * n) + lo)
+            ~len:w
         done;
         r := !r + rows
       done
     end
 
-  let rotate_panel ~tier ~block_rows ws (p : Plan.t) (buf : buf) ~amount ~res
-      ~lo ~w =
+  let rotate_panel ~block_rows ws (p : Plan.t) (buf : buf) ~amount ~res ~lo ~w
+      =
     let m = p.m and n = p.n in
     let k, maxres =
       let k, mr = pick_residuals ~m ~lo ~w ~amount ~res lo in
@@ -467,9 +372,8 @@ module Checked_prims = struct
       else pick_residuals ~m ~lo ~w ~amount ~res (lo + w - 1)
     in
     if maxres < w && maxres < m then begin
-      let mk = tier <> Tune_params.Scalar in
-      rotate_coarse ~mk buf ~m ~n ~lo ~w ~k ~line:(Ws.line ws w);
-      rotate_fine ~tier buf ~m ~n ~lo ~w ~res ~maxres ~block_rows
+      rotate_coarse buf ~m ~n ~lo ~w ~k ~line:(Ws.line ws w);
+      rotate_fine buf ~m ~n ~lo ~w ~res ~maxres ~block_rows
         ~head:(Ws.head ws (w * w))
         ~block:(Ws.block ws (block_rows * w))
     end
@@ -477,18 +381,17 @@ module Checked_prims = struct
       Kernels_f64.Checked.Phases.rotate_columns p buf ~tmp:(Ws.tmp ws m)
         ~amount ~lo ~hi:(lo + w)
 
-  let permute_panel ~tier ws (buf : buf) ~n ~cycles ~lo ~w =
-    let mk = tier <> Tune_params.Scalar in
+  let permute_panel ws (buf : buf) ~n ~cycles ~lo ~w =
     let line = Ws.line ws w in
     Checked_access.distinct ~who ~what:"panel line buffer" line buf;
     Array.iter
       (fun (chain : int array) ->
         let len = Array.length chain in
-        save_subrow ~mk buf ~n ~lo ~w ~row:chain.(0) line;
+        save_subrow buf ~n ~lo ~w ~row:chain.(0) line;
         for t = 0 to len - 2 do
-          copy_subrow ~mk buf ~n ~lo ~w ~src:chain.(t + 1) ~dst:chain.(t)
+          copy_subrow buf ~n ~lo ~w ~src:chain.(t + 1) ~dst:chain.(t)
         done;
-        restore_subrow ~mk line buf ~n ~lo ~w ~row:chain.(len - 1))
+        restore_subrow line buf ~n ~lo ~w ~row:chain.(len - 1))
       cycles
 
   let row_shuffle_gather = Kernels_f64.Checked.Phases.row_shuffle_gather
@@ -501,7 +404,6 @@ module type ENGINE = sig
   val rotate_columns :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
@@ -512,7 +414,6 @@ module type ENGINE = sig
 
   val permute_cols :
     ?panel_width:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
@@ -524,7 +425,6 @@ module type ENGINE = sig
   val c2r_cols :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
@@ -536,7 +436,6 @@ module type ENGINE = sig
   val r2c_cols :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
@@ -548,7 +447,6 @@ module type ENGINE = sig
   val c2r :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     Plan.t ->
     buf ->
@@ -557,7 +455,6 @@ module type ENGINE = sig
   val r2c :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     Plan.t ->
     buf ->
@@ -567,7 +464,6 @@ module type ENGINE = sig
     ?order:Layout.order ->
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?cache:Plan.Cache.t ->
     m:int ->
@@ -578,7 +474,6 @@ module type ENGINE = sig
   val c2r_pool :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?workspaces:Ws.t array ->
     Pool.t ->
     Plan.t ->
@@ -588,7 +483,6 @@ module type ENGINE = sig
   val r2c_pool :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?workspaces:Ws.t array ->
     Pool.t ->
     Plan.t ->
@@ -599,7 +493,6 @@ module type ENGINE = sig
     ?order:Layout.order ->
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?workspaces:Ws.t array ->
     ?cache:Plan.Cache.t ->
     Pool.t ->
@@ -610,10 +503,8 @@ module type ENGINE = sig
 
   val transpose_batch :
     ?order:Layout.order ->
-    ?split:Tune_params.batch_split ->
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Tune_params.kernel_tier ->
     ?cache:Plan.Cache.t ->
     Pool.t ->
     m:int ->
@@ -630,7 +521,7 @@ module Engine_of (P : PRIMS) : ENGINE = struct
   (* -- column-range sweeps ---------------------------------------------- *)
 
   let rotate_columns ?panel_width:(width = default_width)
-      ?(block_rows = default_block_rows) ?(tier = Tune_params.Scalar) ?ws
+      ?(block_rows = default_block_rows) ?ws
       ?(lo = 0) ?hi (p : Plan.t) buf ~amount =
     let m = p.m and n = p.n in
     let hi = match hi with Some h -> h | None -> n in
@@ -644,12 +535,12 @@ module Engine_of (P : PRIMS) : ENGINE = struct
       Xpose_obs.Tracer.panel ~name:"rotate_panel" ~lo ~width:w ~rows:m
         ~pred_touches:(rotate_panel_pred p ~amount ~lo ~w)
         (fun () ->
-          P.rotate_panel ~tier ~block_rows ws p buf ~amount ~res ~lo ~w);
+          P.rotate_panel ~block_rows ws p buf ~amount ~res ~lo ~w);
       g := lo + w
     done
 
   let permute_cols ?panel_width:(width = default_width)
-      ?(tier = Tune_params.Scalar) ?ws ?(lo = 0) ?hi (p : Plan.t) buf ~cycles =
+      ?ws ?(lo = 0) ?hi (p : Plan.t) buf ~cycles =
     let m = p.m and n = p.n in
     let hi = match hi with Some h -> h | None -> n in
     check_range "Fused_f64.permute_cols" ~n ~lo ~hi;
@@ -661,14 +552,14 @@ module Engine_of (P : PRIMS) : ENGINE = struct
       let w = min width (hi - lo) in
       Xpose_obs.Tracer.panel ~name:"permute_panel" ~lo ~width:w ~rows:m
         ~pred_touches:(2 * rows * w)
-        (fun () -> P.permute_panel ~tier ws buf ~n ~cycles ~lo ~w);
+        (fun () -> P.permute_panel ws buf ~n ~cycles ~lo ~w);
       g := lo + w
     done
 
   (* -- fused panel visits ------------------------------------------------ *)
 
   let c2r_cols ?panel_width:(width = default_width) ?(block_rows = default_block_rows)
-      ?(tier = Tune_params.Scalar) ?ws ?(lo = 0) ?hi (p : Plan.t) buf ~cycles =
+      ?ws ?(lo = 0) ?hi (p : Plan.t) buf ~cycles =
     let m = p.m and n = p.n in
     let hi = match hi with Some h -> h | None -> n in
     check_range "Fused_f64.c2r_cols" ~n ~lo ~hi;
@@ -681,14 +572,14 @@ module Engine_of (P : PRIMS) : ENGINE = struct
       Xpose_obs.Tracer.panel ~name:"fused_panel" ~lo ~width:w ~rows:m
         ~pred_touches:(Pass_cost.fused_panel p ~width:w)
         (fun () ->
-          P.rotate_panel ~tier ~block_rows ws p buf ~amount:(fun j -> j) ~res
+          P.rotate_panel ~block_rows ws p buf ~amount:(fun j -> j) ~res
             ~lo ~w;
-          P.permute_panel ~tier ws buf ~n ~cycles ~lo ~w);
+          P.permute_panel ws buf ~n ~cycles ~lo ~w);
       g := lo + w
     done
 
   let r2c_cols ?panel_width:(width = default_width) ?(block_rows = default_block_rows)
-      ?(tier = Tune_params.Scalar) ?ws ?(lo = 0) ?hi (p : Plan.t) buf ~cycles =
+      ?ws ?(lo = 0) ?hi (p : Plan.t) buf ~cycles =
     let m = p.m and n = p.n in
     let hi = match hi with Some h -> h | None -> n in
     check_range "Fused_f64.r2c_cols" ~n ~lo ~hi;
@@ -701,8 +592,8 @@ module Engine_of (P : PRIMS) : ENGINE = struct
       Xpose_obs.Tracer.panel ~name:"fused_panel" ~lo ~width:w ~rows:m
         ~pred_touches:(Pass_cost.fused_panel p ~width:w)
         (fun () ->
-          P.permute_panel ~tier ws buf ~n ~cycles ~lo ~w;
-          P.rotate_panel ~tier ~block_rows ws p buf ~amount:(fun j -> -j) ~res
+          P.permute_panel ws buf ~n ~cycles ~lo ~w;
+          P.rotate_panel ~block_rows ws p buf ~amount:(fun j -> -j) ~res
             ~lo ~w);
       g := lo + w
     done
@@ -710,7 +601,7 @@ module Engine_of (P : PRIMS) : ENGINE = struct
   (* -- serial engines ---------------------------------------------------- *)
 
   let c2r ?panel_width:(width = default_width) ?(block_rows = default_block_rows)
-      ?(tier = Tune_params.Scalar) ?ws (p : Plan.t) buf =
+      ?ws (p : Plan.t) buf =
     check_buf "Fused_f64.c2r" p buf;
     let m = p.m in
     if m = 1 || p.n = 1 then ()
@@ -720,7 +611,7 @@ module Engine_of (P : PRIMS) : ENGINE = struct
         let amount = Plan.rotate_amount p in
         obs_pass p "rotate_pre" ~pred:(Pass_cost.panel_rotate p ~width ~amount)
           (fun () ->
-            rotate_columns ~panel_width:width ~block_rows ~tier ~ws p buf
+            rotate_columns ~panel_width:width ~block_rows ~ws p buf
               ~amount)
       end;
       obs_pass p "row_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
@@ -729,11 +620,11 @@ module Engine_of (P : PRIMS) : ENGINE = struct
             ~lo:0 ~hi:m);
       let cycles = cycles ~m ~index:(Plan.q p) in
       obs_pass p "fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
-          c2r_cols ~panel_width:width ~block_rows ~tier ~ws p buf ~cycles)
+          c2r_cols ~panel_width:width ~block_rows ~ws p buf ~cycles)
     end
 
   let r2c ?panel_width:(width = default_width) ?(block_rows = default_block_rows)
-      ?(tier = Tune_params.Scalar) ?ws (p : Plan.t) buf =
+      ?ws (p : Plan.t) buf =
     check_buf "Fused_f64.r2c" p buf;
     let m = p.m in
     if m = 1 || p.n = 1 then ()
@@ -741,7 +632,7 @@ module Engine_of (P : PRIMS) : ENGINE = struct
       let ws = get_ws ws in
       let cycles = cycles ~m ~index:(Plan.q_inv p) in
       obs_pass p "fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
-          r2c_cols ~panel_width:width ~block_rows ~tier ~ws p buf ~cycles);
+          r2c_cols ~panel_width:width ~block_rows ~ws p buf ~cycles);
       obs_pass p "row_unshuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
           P.row_shuffle_ungather p buf
             ~tmp:(Ws.tmp ws (Plan.scratch_elements p))
@@ -751,42 +642,29 @@ module Engine_of (P : PRIMS) : ENGINE = struct
         obs_pass p "rotate_post"
           ~pred:(Pass_cost.panel_rotate p ~width ~amount)
           (fun () ->
-            rotate_columns ~panel_width:width ~block_rows ~tier ~ws p buf
+            rotate_columns ~panel_width:width ~block_rows ~ws p buf
               ~amount)
       end
     end
 
-  (* Plan-cache entries are keyed by (and carry) the configuration the
-     caller actually runs, so differently tuned callers of one shape
-     never alias. *)
-  let cache_params ?(split = Tune_params.Auto) ?(tier = Tune_params.Scalar)
-      width =
-    {
-      Tune_params.default with
-      panel_width = Option.value width ~default:default_width;
-      batch_split = split;
-      kernel_tier = tier;
-    }
-
   let transpose ?(order = Layout.Row_major) ?panel_width:width ?block_rows
-      ?tier ?ws ?cache ~m ~n buf =
+      ?ws ?cache ~m ~n buf =
     let rm, rn =
       match order with Layout.Row_major -> (m, n) | Layout.Col_major -> (n, m)
     in
-    let params = cache_params ?tier width in
     if rm > rn then
-      c2r ?panel_width:width ?block_rows ?tier ?ws
-        (Plan.Cache.get ?cache ~params ~m:rm ~n:rn ())
+      c2r ?panel_width:width ?block_rows ?ws
+        (Plan.Cache.get ?cache ~m:rm ~n:rn ())
         buf
     else
-      r2c ?panel_width:width ?block_rows ?tier ?ws
-        (Plan.Cache.get ?cache ~params ~m:rn ~n:rm ())
+      r2c ?panel_width:width ?block_rows ?ws
+        (Plan.Cache.get ?cache ~m:rn ~n:rm ())
         buf
 
   (* -- pool drivers ------------------------------------------------------ *)
 
   let c2r_pool ?panel_width:(width = default_width) ?(block_rows = default_block_rows)
-      ?(tier = Tune_params.Scalar) ?workspaces pool (p : Plan.t) buf =
+      ?workspaces pool (p : Plan.t) buf =
     check_buf "Fused_f64.c2r_pool" p buf;
     let m = p.m and n = p.n in
     if m = 1 || n = 1 then ()
@@ -797,7 +675,7 @@ module Engine_of (P : PRIMS) : ENGINE = struct
         obs_pass p "rotate_pre" ~pred:(Pass_cost.panel_rotate p ~width ~amount)
           (fun () ->
             over_columns pool ~n ~width (fun ~chunk ~lo ~hi ->
-                rotate_columns ~panel_width:width ~block_rows ~tier
+                rotate_columns ~panel_width:width ~block_rows
                   ~ws:wss.(chunk) ~lo ~hi p buf ~amount))
       end;
       obs_pass p "row_shuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
@@ -808,12 +686,12 @@ module Engine_of (P : PRIMS) : ENGINE = struct
       let cycles = cycles ~m ~index:(Plan.q p) in
       obs_pass p "fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
           over_columns pool ~n ~width (fun ~chunk ~lo ~hi ->
-              c2r_cols ~panel_width:width ~block_rows ~tier ~ws:wss.(chunk)
+              c2r_cols ~panel_width:width ~block_rows ~ws:wss.(chunk)
                 ~lo ~hi p buf ~cycles))
     end
 
   let r2c_pool ?panel_width:(width = default_width) ?(block_rows = default_block_rows)
-      ?(tier = Tune_params.Scalar) ?workspaces pool (p : Plan.t) buf =
+      ?workspaces pool (p : Plan.t) buf =
     check_buf "Fused_f64.r2c_pool" p buf;
     let m = p.m and n = p.n in
     if m = 1 || n = 1 then ()
@@ -822,7 +700,7 @@ module Engine_of (P : PRIMS) : ENGINE = struct
       let cycles = cycles ~m ~index:(Plan.q_inv p) in
       obs_pass p "fused_col" ~pred:(Pass_cost.fused_col p) (fun () ->
           over_columns pool ~n ~width (fun ~chunk ~lo ~hi ->
-              r2c_cols ~panel_width:width ~block_rows ~tier ~ws:wss.(chunk)
+              r2c_cols ~panel_width:width ~block_rows ~ws:wss.(chunk)
                 ~lo ~hi p buf ~cycles));
       obs_pass p "row_unshuffle" ~pred:(Pass_cost.shuffle p) (fun () ->
           Pool.parallel_chunks pool ~lo:0 ~hi:m (fun ~chunk ~lo ~hi ->
@@ -835,30 +713,29 @@ module Engine_of (P : PRIMS) : ENGINE = struct
           ~pred:(Pass_cost.panel_rotate p ~width ~amount)
           (fun () ->
             over_columns pool ~n ~width (fun ~chunk ~lo ~hi ->
-                rotate_columns ~panel_width:width ~block_rows ~tier
+                rotate_columns ~panel_width:width ~block_rows
                   ~ws:wss.(chunk) ~lo ~hi p buf ~amount))
       end
     end
 
   let transpose_pool ?(order = Layout.Row_major) ?panel_width:width ?block_rows
-      ?tier ?workspaces ?cache pool ~m ~n buf =
+      ?workspaces ?cache pool ~m ~n buf =
     let rm, rn =
       match order with Layout.Row_major -> (m, n) | Layout.Col_major -> (n, m)
     in
-    let params = cache_params ?tier width in
     if rm > rn then
-      c2r_pool ?panel_width:width ?block_rows ?tier ?workspaces pool
-        (Plan.Cache.get ?cache ~params ~m:rm ~n:rn ())
+      c2r_pool ?panel_width:width ?block_rows ?workspaces pool
+        (Plan.Cache.get ?cache ~m:rm ~n:rn ())
         buf
     else
-      r2c_pool ?panel_width:width ?block_rows ?tier ?workspaces pool
-        (Plan.Cache.get ?cache ~params ~m:rn ~n:rm ())
+      r2c_pool ?panel_width:width ?block_rows ?workspaces pool
+        (Plan.Cache.get ?cache ~m:rn ~n:rm ())
         buf
 
   (* -- batched transpose ------------------------------------------------- *)
 
-  let transpose_batch ?(order = Layout.Row_major) ?(split = Tune_params.Auto)
-      ?panel_width:width ?block_rows ?tier ?cache pool ~m ~n bufs =
+  let transpose_batch ?(order = Layout.Row_major)
+      ?panel_width:width ?block_rows ?cache pool ~m ~n bufs =
     let rm, rn =
       match order with Layout.Row_major -> (m, n) | Layout.Col_major -> (n, m)
     in
@@ -874,25 +751,12 @@ module Engine_of (P : PRIMS) : ENGINE = struct
               "Fused_f64.transpose_batch: buffer size does not match shape")
         bufs;
       let c2r_side = rm > rn in
-      let params = cache_params ~split ?tier width in
       let p =
-        if c2r_side then Plan.Cache.get ?cache ~params ~m:rm ~n:rn ()
-        else Plan.Cache.get ?cache ~params ~m:rn ~n:rm ()
+        if c2r_side then Plan.Cache.get ?cache ~m:rm ~n:rn ()
+        else Plan.Cache.get ?cache ~m:rn ~n:rm ()
       in
       let lanes = Pool.workers pool in
-      (* The split policy decides matrix- vs panel-parallelism; a
-         single-lane pool always runs the (cheaper) serial engine per
-         matrix, whatever the policy asked for. *)
-      let matrix_parallel =
-        lanes = 1
-        ||
-        match split with
-        | Tune_params.Auto -> nb >= lanes
-        | Tune_params.Matrix_parallel -> true
-        | Tune_params.Panel_parallel -> false
-        | Tune_params.Hybrid t -> nb >= t
-      in
-      if matrix_parallel then begin
+      if nb >= lanes then begin
         (* Enough matrices to keep every lane busy: parallelize across the
            batch, each lane running the serial fused engine with its own
            workspace. *)
@@ -901,8 +765,8 @@ module Engine_of (P : PRIMS) : ENGINE = struct
             let ws = wss.(chunk) in
             for b = lo to hi - 1 do
               if c2r_side then
-                c2r ?panel_width:width ?block_rows ?tier ~ws p bufs.(b)
-              else r2c ?panel_width:width ?block_rows ?tier ~ws p bufs.(b)
+                c2r ?panel_width:width ?block_rows ~ws p bufs.(b)
+              else r2c ?panel_width:width ?block_rows ~ws p bufs.(b)
             done)
       end
       else begin
@@ -912,10 +776,10 @@ module Engine_of (P : PRIMS) : ENGINE = struct
         Array.iter
           (fun buf ->
             if c2r_side then
-              c2r_pool ?panel_width:width ?block_rows ?tier ~workspaces:wss
+              c2r_pool ?panel_width:width ?block_rows ~workspaces:wss
                 pool p buf
             else
-              r2c_pool ?panel_width:width ?block_rows ?tier ~workspaces:wss
+              r2c_pool ?panel_width:width ?block_rows ~workspaces:wss
                 pool p buf)
           bufs
       end
@@ -926,5 +790,6 @@ include Engine_of (Prims)
 
 module Checked = Engine_of (Checked_prims)
 
-(* Same loop bodies as Fused.Make => same access summaries. *)
+(* Fused.Summary covers both engines: the shared panel phases, plus
+   [fine_mk] for this engine's micro-kernel fine phase. *)
 module Summary = Fused.Summary

@@ -35,9 +35,8 @@ val default_width : int
 val default_block_rows : int
 
 val supported_widths : int list
-(** The panel widths the autotuner searches and the check layer
-    verifies; any positive [?panel_width] remains accepted and
-    correct. *)
+(** {!Fused.Make.supported_widths}: the panel widths the check layer
+    proves; any positive [?panel_width] remains accepted and correct. *)
 
 val cycles : m:int -> index:(int -> int) -> int array array
 (** Nontrivial cycles of [row_i <- row_{index i}] in gather-chain order;
@@ -56,7 +55,6 @@ module type ENGINE = sig
   val rotate_columns :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
@@ -67,7 +65,6 @@ module type ENGINE = sig
 
   val permute_cols :
     ?panel_width:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
@@ -79,7 +76,6 @@ module type ENGINE = sig
   val c2r_cols :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
@@ -93,7 +89,6 @@ module type ENGINE = sig
   val r2c_cols :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?lo:int ->
     ?hi:int ->
@@ -106,18 +101,16 @@ module type ENGINE = sig
 
   (** {1 Serial engines}
 
-      [tier] (default [Scalar]) selects the inner-loop kernel tier of
-      the panel passes: under [Mk8]/[Mk16] the fine-phase gather walks
-      8x8 / 16x16 block tiles through the fully unrolled
-      {!Xpose_core.Microkernel} movers (scalar tail for edge blocks and
-      the head-wrap region) and sub-row moves go through the unrolled
-      span copies. Every tier computes the identical result — the
-      autotuner picks the fastest per shape. *)
+      The inner loop of every panel pass is the
+      {!Xpose_core.Microkernel} movers: the fine-phase gather walks
+      8-row tiles through the unrolled {!Xpose_core.Microkernel.col8}
+      mover (a guarded element-at-a-time tail covers strip remainders
+      and the head-wrap region), and every sub-row move is an unrolled
+      {!Xpose_core.Microkernel.copy_span}. *)
 
   val c2r :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     Xpose_core.Plan.t ->
     buf ->
@@ -128,7 +121,6 @@ module type ENGINE = sig
   val r2c :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     Xpose_core.Plan.t ->
     buf ->
@@ -138,7 +130,6 @@ module type ENGINE = sig
     ?order:Xpose_core.Layout.order ->
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?ws:Ws.t ->
     ?cache:Xpose_core.Plan.Cache.t ->
     m:int ->
@@ -161,7 +152,6 @@ module type ENGINE = sig
   val c2r_pool :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?workspaces:Ws.t array ->
     Pool.t ->
     Xpose_core.Plan.t ->
@@ -171,7 +161,6 @@ module type ENGINE = sig
   val r2c_pool :
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?workspaces:Ws.t array ->
     Pool.t ->
     Xpose_core.Plan.t ->
@@ -182,7 +171,6 @@ module type ENGINE = sig
     ?order:Xpose_core.Layout.order ->
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?workspaces:Ws.t array ->
     ?cache:Xpose_core.Plan.Cache.t ->
     Pool.t ->
@@ -195,10 +183,8 @@ module type ENGINE = sig
 
   val transpose_batch :
     ?order:Xpose_core.Layout.order ->
-    ?split:Xpose_core.Tune_params.batch_split ->
     ?panel_width:int ->
     ?block_rows:int ->
-    ?tier:Xpose_core.Tune_params.kernel_tier ->
     ?cache:Xpose_core.Plan.Cache.t ->
     Pool.t ->
     m:int ->
@@ -206,17 +192,12 @@ module type ENGINE = sig
     buf array ->
     unit
   (** [transpose_batch pool ~m ~n bufs] transposes every matrix of the
-      same-shape batch in place. [split] (default
-      {!Xpose_core.Tune_params.Auto}) decides the parallelism: under
-      [Auto], when the batch has at least as many matrices as the pool
-      has lanes, lanes take contiguous slices of the batch and run the
-      serial engine (one plan, one workspace per lane), and smaller
-      batches run each matrix panel-parallel instead;
-      [Matrix_parallel] / [Panel_parallel] force one side, and
-      [Hybrid t] switches at batch size [t]. A single-lane pool always
-      runs the serial engine per matrix. Every policy computes the same
-      result — the autotuner picks whichever is fastest for the shape.
-      The whole batch is validated before any element moves.
+      same-shape batch in place. When the batch has at least as many
+      matrices as the pool has lanes, lanes take contiguous slices of
+      the batch and run the serial engine (one plan, one workspace per
+      lane); smaller batches run each matrix panel-parallel instead. A
+      single-lane pool therefore always runs the serial engine per
+      matrix. The whole batch is validated before any element moves.
       @raise Invalid_argument if any buffer size differs from [m * n]. *)
 end
 
@@ -231,5 +212,6 @@ module Checked : ENGINE
     under checking) and by [xpose check --shadow]. *)
 
 module Summary = Fused.Summary
-(** {!Fused.Summary}: the specialized engine runs the same loop bodies,
-    so it shares the same symbolic access summaries. *)
+(** {!Fused.Summary}: the shared panel phases, plus
+    {!Fused.Summary.fine_mk} for this engine's micro-kernel fine
+    phase. *)

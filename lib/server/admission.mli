@@ -10,13 +10,16 @@
 
     Routing (per PAPER §"decomposition under a memory budget", applied
     at the tenant level): a job whose footprint fits its tenant's quota
-    runs on the in-memory fused engine; a bigger one is demoted to the
+    runs on the in-memory fused engine; a bigger one is routed to the
     out-of-core engine with the tenant's [window_bytes] residency
-    allowance, so a tenant can always submit matrices far beyond its
-    quota without holding more than its window of mapped file at a
-    time. A job that would push the {e global} budget over is refused
-    outright — the server replies {!Protocol.Busy} and the client
-    retries.
+    allowance. The route does not keep the job out of RAM: its payload
+    arrived in a frame and stays resident (and charged to the global
+    budget) until the reply is written. It is blitted to a temp file,
+    transposed there mapping at most [window_bytes] of the file at a
+    time, and blitted back, so the window bounds the engine's mapped
+    working set on top of the payload, not the job's total memory. A
+    job that would push the {e global} budget over is refused outright
+    — the server replies {!Protocol.Busy} and the client retries.
 
     Thread-safe: acceptor threads admit while the dispatcher releases. *)
 

@@ -170,9 +170,6 @@ let fused_allowed (p : Plan.t) ~width ~block_rows ~with_row_shuffles =
       :: ("bk", 8) :: base
     in
     List.iter (add fenv) Xpose_cpu.Fused.Summary.panel_passes;
-    (* fine_mk is parametric in the tier's block edge; panel_passes
-       concretized it at bk=8, cover the 16-row movers too. *)
-    add (("bk", 16) :: fenv) Xpose_cpu.Fused.Summary.fine_mk;
     add
       (("lo", lo) :: ("hi", lo + w) :: base)
       (Access.Passes.rotate_any ())
@@ -211,12 +208,6 @@ let check_fused ~m ~n ~width ~block_rows =
         FC.permute_cols ~panel_width:width p buf ~cycles);
       (fun () -> FC.c2r ~panel_width:width ~block_rows p buf);
       (fun () -> FC.r2c ~panel_width:width ~block_rows p buf);
-      (fun () ->
-        FC.c2r ~panel_width:width ~block_rows ~tier:Tune_params.Mk8 p buf);
-      (fun () ->
-        FC.c2r ~panel_width:width ~block_rows ~tier:Tune_params.Mk16 p buf);
-      (fun () ->
-        FC.r2c ~panel_width:width ~block_rows ~tier:Tune_params.Mk16 p buf);
     ]
   in
   List.iter

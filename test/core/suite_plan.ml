@@ -146,30 +146,35 @@ let test_cache_hit_miss () =
   Alcotest.(check int) "clear empties" 0 (Plan.Cache.length cache);
   Alcotest.(check int) "clear resets hits" 0 (Plan.Cache.hits cache)
 
-(* Regression: the cache used to key on (m, n) alone, so two callers
-   of one shape running under different tuned parameters collided on a
-   single entry — the second caller silently read an entry stamped for
-   the first one's configuration, and [cached_params] could not exist.
-   The key now carries the parameters. *)
-let test_cache_params_key () =
+(* A plan depends on the shape alone, so engines running one shape at
+   different panel widths (serial, pool and the element-generic twin)
+   share one cache entry: the first call misses, every later one hits
+   and gets the physically same plan. *)
+let test_cache_shared_across_widths () =
+  let module FF = Xpose_cpu.Fused_f64 in
+  let module FG = Xpose_cpu.Fused.Make (Storage.Float64) in
   let cache = Plan.Cache.create ~capacity:8 () in
-  let wide = { Tune_params.default with panel_width = 32 } in
-  let p1 = Plan.Cache.get ~cache ~m:48 ~n:36 () in
-  let p2 = Plan.Cache.get ~cache ~params:wide ~m:48 ~n:36 () in
-  Alcotest.(check int) "distinct params are distinct entries" 2
-    (Plan.Cache.length cache);
-  Alcotest.(check int) "both were misses (the former collision)" 2
-    (Plan.Cache.misses cache);
-  Alcotest.(check bool) "separately cached" true (p1 != p2);
-  let p3 = Plan.Cache.get ~cache ~params:wide ~m:48 ~n:36 () in
-  Alcotest.(check bool) "same params hit their own entry" true (p2 == p3);
-  Alcotest.(check int) "one hit" 1 (Plan.Cache.hits cache);
-  match Plan.Cache.cached_params ~cache ~m:48 ~n:36 () with
-  | first :: rest ->
-      Alcotest.(check bool) "most recently used params first" true
-        (Tune_params.equal first wide);
-      Alcotest.(check int) "both param variants listed" 1 (List.length rest)
-  | [] -> Alcotest.fail "cached_params empty for a cached shape"
+  let m = 48 and n = 36 in
+  let buf = Storage.Float64.create (m * n) in
+  let calls = ref 0 in
+  List.iter
+    (fun panel_width ->
+      FF.transpose ~panel_width ~cache ~m ~n buf;
+      FF.transpose_pool ~panel_width ~cache Xpose_cpu.Pool.sequential ~m:n
+        ~n:m buf;
+      FG.transpose ~panel_width ~cache ~m ~n buf;
+      FG.transpose ~panel_width ~cache ~m:n ~n:m buf;
+      calls := !calls + 4)
+    (3 :: FF.supported_widths);
+  Alcotest.(check int) "one entry for the shape" 1 (Plan.Cache.length cache);
+  Alcotest.(check int) "one miss" 1 (Plan.Cache.misses cache);
+  Alcotest.(check int) "every later call hits" (!calls - 1)
+    (Plan.Cache.hits cache);
+  let p = Plan.Cache.get ~cache ~m ~n () in
+  Alcotest.(check bool) "the entry is the shape's plan" true
+    (p.m = m && p.n = n);
+  Alcotest.(check bool) "a direct lookup hits the same plan" true
+    (p == Plan.Cache.get ~cache ~m ~n ())
 
 let test_cache_lru_eviction () =
   let cache = Plan.Cache.create ~capacity:2 () in
@@ -262,8 +267,8 @@ let tests =
     Alcotest.test_case "internal consistency (exhaustive small)" `Quick
       test_internal_consistency;
     Alcotest.test_case "cache hit/miss bookkeeping" `Quick test_cache_hit_miss;
-    Alcotest.test_case "cache key carries tuned params" `Quick
-      test_cache_params_key;
+    Alcotest.test_case "cache shared across panel widths" `Quick
+      test_cache_shared_across_widths;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache eviction counter" `Quick
       test_cache_eviction_counter;
