@@ -20,14 +20,24 @@ let theorem6_arith =
 type t = { passes : int; touches : int; scratch : int; score : float }
 
 let zero = { passes = 0; touches = 0; scratch = 0; score = 0.0 }
-let line_elems = 8.0
+
+(* Prices of the executor's work, in flat element touches (measured
+   ratios, rounded; see the interface). *)
+let block_access = 4.0
+let block_elem = 0.5
+let call = 24.0
 
 let pass_cost arith (p : Decompose.pass) =
   let m = max p.rows p.cols and n = min p.rows p.cols in
-  let touches = p.batch * p.block * arith.transpose_touches ~m ~n in
+  let units = p.batch * arith.transpose_touches ~m ~n in
+  let touches = units * p.block in
   let scratch = p.block * arith.transpose_scratch ~m ~n in
+  let per_unit =
+    if p.block = 1 then 1.0
+    else block_access +. (block_elem *. float_of_int p.block)
+  in
   let score =
-    float_of_int touches *. (1.0 +. ((line_elems -. 1.0) /. float_of_int p.block))
+    (float_of_int units *. per_unit) +. (call *. float_of_int p.batch)
   in
   (touches, scratch, score)
 

@@ -1,19 +1,29 @@
 (** Cost model for candidate pass sequences.
 
     Every pass runs the paper's decomposed 2-D transposition over the
-    whole buffer, so the dominant term is memory traffic: the element
-    touches of Theorem 6 (at most [6mn] reads+writes per transpose),
-    multiplied by the batch count and the block width. Two corrections
-    discriminate between sequences of equal pass count:
+    whole buffer, so the count to price is the element touches of
+    Theorem 6 (at most [6mn] reads+writes per transpose), times the
+    batch count. The score prices those touches the way the executor
+    ({!Xpose_core.Tensor_nd}) spends them, in units of one flat element
+    touch:
 
-    - {e contiguity}: a pass that moves [block]-sized units amortizes its
-      traffic over whole cache lines, while a [block = 1] pass pays a
-      full line per element in the worst case — modelled as a
-      [1 + (line - 1)/block] multiplier on the touches;
-    - {e scratch}: the per-pass auxiliary space is
-      [block * max rows cols] elements (Theorem 6's bound applied to
-      block elements); the model reports the maximum over the passes and
-      uses it only to break ties.
+    - a [block = 1] pass touches plain elements: 1 each;
+    - a [block > 1] pass touches whole blocks through a blocked view,
+      whose every access fills a fresh block-sized temporary:
+      [4 + block/2] per block touch (a fixed access price plus a
+      per-element copy), so large blocks amortize the access and blocks
+      of 2 or 3 cost more per element than a flat pass;
+    - every 2-D transpose call (one per batch slice) adds 24 for its
+      views and setup.
+
+    The three prices are rounded ratios from a least-squares fit of
+    per-candidate times over every minimal-pass candidate of the
+    [permute] experiment's problems at several sizes. The former
+    cache-line multiplier [1 + 7/block] under-priced blocked passes
+    several-fold and ordered measured candidate pairs barely better than
+    chance. The per-pass auxiliary space is [block * max rows cols]
+    elements (Theorem 6's bound applied to block elements); the model
+    reports the maximum over the passes and uses it only to break ties.
 
     The arithmetic is injected via {!arith} so higher layers can feed the
     exact [Plan]/[Theory] quantities of [xpose_core]
@@ -45,10 +55,6 @@ type t = {
 
 val zero : t
 (** The cost of doing nothing (the fused identity). *)
-
-val line_elems : float
-(** Elements per cache line assumed by the contiguity multiplier (8,
-    i.e. 64-byte lines of 8-byte elements). *)
 
 val of_passes : ?arith:arith -> Decompose.pass list -> t
 val compare : t -> t -> int
