@@ -134,9 +134,9 @@ module Cache = struct
 
   let default = create ()
 
-  let m_hits = lazy (Xpose_obs.Metrics.counter "plan_cache.hits")
-  let m_misses = lazy (Xpose_obs.Metrics.counter "plan_cache.misses")
-  let m_evictions = lazy (Xpose_obs.Metrics.counter "plan_cache.evictions")
+  let m_hits = Xpose_obs.Metrics.lazy_counter "plan_cache.hits"
+  let m_misses = Xpose_obs.Metrics.lazy_counter "plan_cache.misses"
+  let m_evictions = Xpose_obs.Metrics.lazy_counter "plan_cache.evictions"
 
   (* Least-recently-used entry by stamp; a linear scan is fine at the
      capacities plans are cached at (the table holds tens of entries). *)
@@ -153,7 +153,7 @@ module Cache = struct
     | Some (key, _) ->
         Hashtbl.remove t.table key;
         t.evictions <- t.evictions + 1;
-        Xpose_obs.Metrics.incr (Lazy.force m_evictions)
+        Xpose_obs.Metrics.incr (m_evictions ())
     | None -> ()
 
   let get ?(cache = default) ~m ~n () =
@@ -165,12 +165,12 @@ module Cache = struct
         e.stamp <- cache.clock;
         cache.hits <- cache.hits + 1;
         Mutex.unlock cache.mutex;
-        Xpose_obs.Metrics.incr (Lazy.force m_hits);
+        Xpose_obs.Metrics.incr (m_hits ());
         e.plan
     | None ->
         cache.misses <- cache.misses + 1;
         Mutex.unlock cache.mutex;
-        Xpose_obs.Metrics.incr (Lazy.force m_misses);
+        Xpose_obs.Metrics.incr (m_misses ());
         (* Build outside the lock: [make] is the expensive part (gcd,
            modular inverses, five Magic reciprocals) and may raise. A
            racing lookup of the same shape builds twice; the table keeps

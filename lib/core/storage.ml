@@ -15,6 +15,15 @@ module type S = sig
   val pp : Format.formatter -> elt -> unit
 end
 
+(* Every bigarray [blit] checks its ranges up front, at every length, with
+   the message [Bigarray.Array1.sub] raises on the long path: the short
+   path below copies with unchecked accesses. *)
+let check_blit ~src_len spos ~dst_len dpos len =
+  if
+    len < 0 || spos < 0 || dpos < 0 || spos + len > src_len
+    || dpos + len > dst_len
+  then invalid_arg "Bigarray.Array1.sub: bad sub-array"
+
 module Bigarray1 (K : sig
   type elt
   type repr
@@ -44,6 +53,7 @@ end) :
      [Array1.sub] allocates two views per call, so copy small spans by
      hand. *)
   let blit src spos dst dpos len =
+    check_blit ~src_len:(length src) spos ~dst_len:(length dst) dpos len;
     if len <= 32 then
       if dst == src && dpos > spos then
         for k = len - 1 downto 0 do
@@ -66,18 +76,44 @@ end) :
   let pp = K.pp
 end
 
-module Float64 = Bigarray1 (struct
+(* Written out over the concrete type rather than through [Bigarray1]:
+   with the kind known, [get]/[set] and the short-blit loop compile to
+   direct unboxed loads and stores instead of the kind-generic C calls
+   that box every float. The hand-copied spans go up to 128 elements:
+   past 32, two [Array1.sub] views plus a memmove still cost more than
+   the unboxed loop when the span is not cache-resident (block-unit
+   moves of a permute pass). *)
+module Float64 = struct
+  module A = Bigarray.Array1
+
+  type t = (float, Bigarray.float64_elt, Bigarray.c_layout) A.t
   type elt = float
-  type repr = Bigarray.float64_elt
 
   let name = "float64"
   let elt_bytes = 8
-  let kind = Bigarray.float64
+  let create len : t = A.create Bigarray.float64 Bigarray.c_layout len
+  let length (t : t) = A.dim t
+  let get (t : t) i = A.get t i
+  let set (t : t) i (v : float) = A.set t i v
+
+  let blit (src : t) spos (dst : t) dpos len =
+    check_blit ~src_len:(A.dim src) spos ~dst_len:(A.dim dst) dpos len;
+    if len <= 128 then
+      if dst == src && dpos > spos then
+        for k = len - 1 downto 0 do
+          A.unsafe_set dst (dpos + k) (A.unsafe_get src (spos + k))
+        done
+      else
+        for k = 0 to len - 1 do
+          A.unsafe_set dst (dpos + k) (A.unsafe_get src (spos + k))
+        done
+    else A.blit (A.sub src spos len) (A.sub dst dpos len)
+
   let of_int = float_of_int
   let to_int = int_of_float
   let equal (a : float) b = a = b
   let pp = Format.pp_print_float
-end)
+end
 
 module Float32 = Bigarray1 (struct
   type elt = float

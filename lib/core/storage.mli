@@ -27,7 +27,10 @@ module type S = sig
   val set : t -> int -> elt -> unit
 
   val blit : t -> int -> t -> int -> int -> unit
-  (** [blit src spos dst dpos len] copies [len] elements. *)
+  (** [blit src spos dst dpos len] copies [len] elements; overlapping
+      spans of one buffer copy as if through a temporary.
+      @raise Invalid_argument, before copying anything, if [len < 0] or
+      either span leaves its buffer. *)
 
   val of_int : int -> elt
   (** Injection used by tests and examples to fill buffers with

@@ -5,9 +5,11 @@
     permutation and factors it into batched/blocked/flat 2-D transpose
     passes priced by a cost model; this functor supplies the single
     primitive those passes need — an in-place transpose of a
-    [batch x rows x cols x block] middle pair — by composing
-    {!Views.Slice} and {!Views.Blocked} over any {!Storage.S} instance
-    and running the paper's C2R/R2C kernels on the result.
+    [batch x rows x cols x block] middle pair. A flat pass runs
+    {!Algo.Make} on the plain buffer; every batched or blocked pass runs
+    {!Make.transpose_units}, the paper's C2R/R2C phases on a matrix
+    whose "elements" are [block]-slot units (the AoS reading of §5),
+    each moved with one contiguous copy.
 
     Auxiliary space is [O(block * max(rows, cols))] per pass — the
     Theorem 6 bound applied to block elements — still asymptotically
@@ -32,8 +34,35 @@ val candidates :
   dims:int array -> perm:int array -> Xpose_permute.Permute.plan list
 (** All minimal-pass candidates under {!plan_arith}, cheapest first. *)
 
+val orient : rows:int -> cols:int -> Plan.t * [ `C2r | `R2c ]
+(** The plan and direction that transpose a [rows x cols] matrix: C2R on
+    plan [(rows, cols)] when [rows > cols] (the §5.2 heuristic), R2C on
+    plan [(cols, rows)] otherwise. *)
+
 module Make (S : Storage.S) : sig
   type buf = S.t
+
+  val transpose_units :
+    Plan.t ->
+    [ `C2r | `R2c ] ->
+    batch:int ->
+    off:int ->
+    stride:int ->
+    width:int ->
+    buf ->
+    unit
+  (** The strided unit kernel. [transpose_units p dir ~batch ~off ~stride
+      ~width buf] transposes [batch] matrices of units in place: unit [u]
+      of matrix [b] is the [width] slots starting at
+      [off + (b * p.m * p.n + u) * stride]. [`C2r] takes each [p.m x p.n]
+      matrix to its [p.n x p.m] transpose and [`R2c] the reverse, by the
+      default phases of {!Algo.Make} (one [Tracer.pass] span per phase
+      and matrix). Slots outside the units are neither read nor written,
+      so disjoint sub-ranges of the same blocks ([stride > width]) can
+      be transposed independently. Scratch: [width * max p.m p.n]
+      elements.
+      @raise Invalid_argument if [batch < 0], [off < 0], [width < 1],
+      [stride < width], or the last unit overruns [buf]. *)
 
   val transpose : batch:int -> rows:int -> cols:int -> block:int -> buf -> unit
   (** The pass primitive: [buf], viewed as [batch x rows x cols x block]

@@ -92,71 +92,3 @@ module Blocked (S : Storage.S) = struct
 
   let pp ppf e = Format.fprintf ppf "<block:%d>" (S.length e)
 end
-
-module Strided_blocked (S : Storage.S) = struct
-  type t = { buf : S.t; off : int; stride : int; block : int; count : int }
-  type elt = S.t
-
-  let name = S.name ^ "/strided"
-  let elt_bytes = S.elt_bytes (* per underlying slot; block size varies *)
-
-  let of_buffer buf ~off ~stride ~block ~count =
-    if block < 1 || count < 0 || off < 0 || stride < block then
-      invalid_arg "Views.Strided_blocked.of_buffer: invalid geometry";
-    if count > 0 && off + ((count - 1) * stride) + block > S.length buf then
-      invalid_arg "Views.Strided_blocked.of_buffer: range out of bounds";
-    { buf; off; stride; block; count }
-
-  let block t = t.block
-  let stride t = t.stride
-
-  (* same caveat as [Blocked.create]: scratch must come from [of_buffer] *)
-  let create count = { buf = S.create count; off = 0; stride = 1; block = 1; count }
-
-  let length t = t.count
-  let pos t i = t.off + (i * t.stride)
-
-  let check t i =
-    if i < 0 || i >= t.count then invalid_arg "Views.Strided_blocked: index"
-
-  let get t i =
-    check t i;
-    let e = S.create t.block in
-    S.blit t.buf (pos t i) e 0 t.block;
-    e
-
-  let set t i e =
-    check t i;
-    if S.length e <> t.block then
-      invalid_arg "Views.Strided_blocked.set: block size";
-    S.blit e 0 t.buf (pos t i) t.block
-
-  let blit src spos dst dpos len =
-    if src.block <> dst.block then
-      invalid_arg "Views.Strided_blocked.blit: block size";
-    if spos < 0 || dpos < 0 || spos + len > src.count || dpos + len > dst.count
-    then invalid_arg "Views.Strided_blocked.blit: range";
-    (* the gaps between block units differ between views, so copy per unit *)
-    for l = 0 to len - 1 do
-      S.blit src.buf (pos src (spos + l)) dst.buf (pos dst (dpos + l))
-        src.block
-    done
-
-  let of_int x =
-    let e = S.create 1 in
-    S.set e 0 (S.of_int x);
-    e
-
-  let to_int e = S.to_int (S.get e 0)
-
-  let equal a b =
-    S.length a = S.length b
-    &&
-    let ok = ref true in
-    for i = 0 to S.length a - 1 do
-      if not (S.equal (S.get a i) (S.get b i)) then ok := false
-    done;
-    !ok
-
-  let pp ppf e = Format.fprintf ppf "<block:%d>" (S.length e)
-end

@@ -4,7 +4,9 @@
     underlying memory, which lets the transposition functor run on
     sub-ranges (batched transposition) and on coarse-grained "elements"
     of several consecutive slots (block transposition) without copying.
-    Both are building blocks for {!Tensor3}. *)
+    Both serve {!Tensor3.Make.permute_direct}, the hand-factored rank-3
+    oracle; the production permute path ([Tensor_nd]) addresses its
+    block units directly instead. *)
 
 module Slice (S : Storage.S) : sig
   include Storage.S with type elt = S.elt
@@ -35,24 +37,3 @@ end
     internally ([transpose]) must not be used on blocked views — pass
     scratch obtained from [of_buffer] to [c2r]/[r2c] instead (as
     {!Tensor3} does). *)
-
-module Strided_blocked (S : Storage.S) : sig
-  include Storage.S with type elt = S.t
-  (** Elements are blocks of [block t] consecutive slots placed every
-      [stride t] slots from [off]: element [i] occupies slots
-      [[off + i*stride, off + i*stride + block)]. With [off = 0] and
-      [stride = block] this degenerates to {!Blocked}. The gaps between
-      elements belong to other views, which is what lets
-      [Xpose_cpu.Par_permute] split one block transposition across
-      workers: each worker owns a disjoint sub-range of every block and
-      permutes it independently. *)
-
-  val of_buffer : S.t -> off:int -> stride:int -> block:int -> count:int -> t
-  (** @raise Invalid_argument if [block < 1], [stride < block], or the
-      last element overruns the buffer. *)
-
-  val block : t -> int
-  val stride : t -> int
-end
-(** The {!Blocked} [create] caveat applies here too: scratch for the
-    algorithm must come from [of_buffer]. *)

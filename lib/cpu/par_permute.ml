@@ -3,12 +3,7 @@ open Xpose_core
 module Make (S : Storage.S) = struct
   type buf = S.t
 
-  module Sl = Views.Slice (S)
-  module Blsl = Views.Blocked (Sl)
-  module Sb = Views.Strided_blocked (S)
-  module Algo_slice = Algo.Make (Sl)
-  module Algo_block_slice = Algo.Make (Blsl)
-  module Algo_sb = Algo.Make (Sb)
+  module Nd = Tensor_nd.Make (S)
   module ParT = Par_transpose.Make (S)
 
   let transpose pool ~batch ~rows ~cols ~block buf =
@@ -17,53 +12,22 @@ module Make (S : Storage.S) = struct
     if S.length buf <> batch * rows * cols * block then
       invalid_arg "Par_permute.transpose: buffer size";
     if rows > 1 && cols > 1 then begin
-      let c2r = rows > cols in
-      let rm = max rows cols and rn = min rows cols in
-      let p = Plan.make ~m:rm ~n:rn in
+      let p, dir = Tensor_nd.orient ~rows ~cols in
       if batch = 1 && block = 1 then
-        (if c2r then ParT.c2r pool p buf else ParT.r2c pool p buf)
-      else if batch > 1 then begin
-        (* independent slices: chunk the batch, one scratch per worker *)
+        match dir with `C2r -> ParT.c2r pool p buf | `R2c -> ParT.r2c pool p buf
+      else if batch > 1 then
+        (* independent slices: chunk the batch *)
         let len = rows * cols * block in
         Pool.parallel_chunks pool ~lo:0 ~hi:batch (fun ~chunk:_ ~lo ~hi ->
-            if lo < hi then
-              if block = 1 then begin
-                let tmp = Sl.create rm in
-                for b = lo to hi - 1 do
-                  let slice = Sl.of_buffer buf ~off:(b * len) ~len in
-                  if c2r then Algo_slice.c2r p slice ~tmp
-                  else Algo_slice.r2c p slice ~tmp
-                done
-              end
-              else begin
-                let tmp = Blsl.of_buffer (Sl.create (rm * block)) ~block in
-                for b = lo to hi - 1 do
-                  let view =
-                    Blsl.of_buffer (Sl.of_buffer buf ~off:(b * len) ~len) ~block
-                  in
-                  if c2r then Algo_block_slice.c2r p view ~tmp
-                  else Algo_block_slice.r2c p view ~tmp
-                done
-              end)
-      end
-      else begin
+            Nd.transpose_units p dir ~batch:(hi - lo) ~off:(lo * len)
+              ~stride:block ~width:block buf)
+      else
         (* one wide block transpose: split the block axis — every worker
            permutes its own strided sub-range of each block *)
         Pool.parallel_chunks pool ~lo:0 ~hi:block (fun ~chunk:_ ~lo ~hi ->
-            if lo < hi then begin
-              let w = hi - lo in
-              let view =
-                Sb.of_buffer buf ~off:lo ~stride:block ~block:w
-                  ~count:(rows * cols)
-              in
-              let tmp =
-                Sb.of_buffer (S.create (rm * w)) ~off:0 ~stride:w ~block:w
-                  ~count:rm
-              in
-              if c2r then Algo_sb.c2r p view ~tmp
-              else Algo_sb.r2c p view ~tmp
-            end)
-      end
+            if lo < hi then
+              Nd.transpose_units p dir ~batch:1 ~off:lo ~stride:block
+                ~width:(hi - lo) buf)
     end
 
   let execute pool (plan : Xpose_permute.Permute.plan) buf =

@@ -10,9 +10,10 @@
       statically chunk them across the pool, one scratch buffer per
       worker (the paper's "perfect load balancing" carries over);
     - [batch = 1, block > 1] (a block transpose): split the {e block}
-      axis instead — each worker owns a disjoint
-      [Views.Strided_blocked] sub-range of every block and applies the
-      same C2R/R2C permutation to it independently.
+      axis instead — each worker owns the slots [[lo, hi)] of every
+      block and runs the same C2R/R2C permutation on those
+      [hi - lo]-slot units ([Tensor_nd.Make.transpose_units] with
+      [stride = block]) independently.
 
     Total auxiliary space stays [O(workers * block * max(rows, cols))]. *)
 

@@ -46,6 +46,17 @@ let counter name =
     (fun () -> C { c_name = name; cells = atomic_cells shards })
     (function C c -> Some c | _ -> None)
 
+let lazy_counter name =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some c -> c
+    | None ->
+        (* racing domains all get the one registered counter *)
+        let c = counter name in
+        Atomic.set cell (Some c);
+        c
+
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.cells.(shard ()) by)
 let counter_value c = Array.fold_left (fun a cell -> a + Atomic.get cell) 0 c.cells
 let shard_values c = Array.map Atomic.get c.cells

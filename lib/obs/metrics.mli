@@ -21,6 +21,14 @@ val shards : int
 type counter
 
 val counter : string -> counter
+
+val lazy_counter : string -> unit -> counter
+(** [lazy_counter name] registers [name] on its first call, from any
+    domain, and returns the same counter afterwards without taking the
+    registry lock. Unlike a [lazy] value it may be forced by several
+    domains at once (a [Lazy.force] race raises
+    [CamlinternalLazy.Undefined]). *)
+
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 (** Sum over all shards. Exact, but a concurrent snapshot: bumps racing

@@ -112,13 +112,13 @@ let instant ?(cat = "instant") ?args name =
 
 (* -- the per-pass entry point ------------------------------------------- *)
 
-let m_passes = lazy (Metrics.counter "xpose.passes_total")
-let m_pred = lazy (Metrics.counter "xpose.pred_touches_total")
+let m_passes = Metrics.lazy_counter "xpose.passes_total"
+let m_pred = Metrics.lazy_counter "xpose.pred_touches_total"
 
 let pass ~name ?(batch = 1) ?(block = 1) ~rows ~cols ~pred_touches
     ~scratch_elems f =
-  Metrics.incr (Lazy.force m_passes);
-  Metrics.incr ~by:pred_touches (Lazy.force m_pred);
+  Metrics.incr (m_passes ());
+  Metrics.incr ~by:pred_touches (m_pred ());
   Metrics.incr (Metrics.counter ("pass." ^ name));
   Metrics.incr ~by:pred_touches (Metrics.counter ("pass." ^ name ^ ".touches"));
   if not (enabled ()) then f ()
@@ -138,10 +138,10 @@ let pass ~name ?(batch = 1) ?(block = 1) ~rows ~cols ~pred_touches
       name f
   end
 
-let m_panels = lazy (Metrics.counter "xpose.panels_total")
+let m_panels = Metrics.lazy_counter "xpose.panels_total"
 
 let panel ~name ~lo ~width ~rows ~pred_touches f =
-  Metrics.incr (Lazy.force m_panels);
+  Metrics.incr (m_panels ());
   if not (enabled ()) then f ()
   else begin
     let ambient = ambient_args () in

@@ -23,9 +23,9 @@ let zero = { passes = 0; touches = 0; scratch = 0; score = 0.0 }
 
 (* Prices of the executor's work, in flat element touches (measured
    ratios, rounded; see the interface). *)
-let block_access = 4.0
-let block_elem = 0.5
-let call = 24.0
+let unit_access = 1.0
+let unit_elem = 0.125
+let call = 64.0
 
 let pass_cost arith (p : Decompose.pass) =
   let m = max p.rows p.cols and n = min p.rows p.cols in
@@ -33,8 +33,8 @@ let pass_cost arith (p : Decompose.pass) =
   let touches = units * p.block in
   let scratch = p.block * arith.transpose_scratch ~m ~n in
   let per_unit =
-    if p.block = 1 then 1.0
-    else block_access +. (block_elem *. float_of_int p.block)
+    if p.batch = 1 && p.block = 1 then 1.0
+    else unit_access +. (unit_elem *. float_of_int p.block)
   in
   let score =
     (float_of_int units *. per_unit) +. (call *. float_of_int p.batch)

@@ -7,23 +7,24 @@
     ({!Xpose_core.Tensor_nd}) spends them, in units of one flat element
     touch:
 
-    - a [block = 1] pass touches plain elements: 1 each;
-    - a [block > 1] pass touches whole blocks through a blocked view,
-      whose every access fills a fresh block-sized temporary:
-      [4 + block/2] per block touch (a fixed access price plus a
-      per-element copy), so large blocks amortize the access and blocks
-      of 2 or 3 cost more per element than a flat pass;
-    - every 2-D transpose call (one per batch slice) adds 24 for its
-      views and setup.
+    - a flat pass ([batch = 1, block = 1]) runs the plain 2-D kernel on
+      single elements: 1 per touch;
+    - every other pass runs the strided unit kernel, which moves a whole
+      [block]-element unit per touch with one contiguous copy:
+      [1 + block/8] per unit touch (a fixed access price plus a
+      per-element copy), so batched passes of single elements cost a
+      little more than a flat pass and large blocks amortize the access;
+    - every 2-D transpose call (one per batch slice) adds 64 for its
+      setup and per-phase bookkeeping.
 
-    The three prices are rounded ratios from a least-squares fit of
-    per-candidate times over every minimal-pass candidate of the
-    [permute] experiment's problems at several sizes. The former
-    cache-line multiplier [1 + 7/block] under-priced blocked passes
-    several-fold and ordered measured candidate pairs barely better than
-    chance. The per-pass auxiliary space is [block * max rows cols]
-    elements (Theorem 6's bound applied to block elements); the model
-    reports the maximum over the passes and uses it only to break ties.
+    The three prices are rounded ratios from a least-squares fit
+    (weighted to relative error) of per-candidate times over every
+    minimal-pass candidate of the [permute] experiment's problems at
+    bases 12, 16 and 24. They are constants of the executor: re-fit them
+    when its unit moves change. The per-pass auxiliary space is
+    [block * max rows cols] elements (Theorem 6's bound applied to block
+    elements); the model reports the maximum over the passes and uses it
+    only to break ties.
 
     The arithmetic is injected via {!arith} so higher layers can feed the
     exact [Plan]/[Theory] quantities of [xpose_core]

@@ -6,7 +6,7 @@
     implementations live above:
 
     - [Xpose_core.Tensor_nd.Make] supplies the serial primitive
-      (slice/blocked views over any [Storage.S] instance driving the
+      (a strided unit kernel over any [Storage.S] instance driving the
       paper's C2R/R2C kernels);
     - [Xpose_cpu.Par_permute.Make] supplies a [Pool]-parallel one. *)
 

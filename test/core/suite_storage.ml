@@ -70,6 +70,34 @@ let prop_blob_roundtrip =
       let masked = if size >= 8 then v else v land ((1 lsl (8 * size)) - 1) in
       B.to_int (B.of_int masked) = masked)
 
+(* An out-of-range blit raises before it copies anything, at every
+   length: short spans (the hand-copied path) fail exactly like long ones
+   (the [Array1.sub] path). *)
+let blit_range (type b) (module M : Storage.S with type t = b) () =
+  let src = M.create 40 and dst = M.create 40 in
+  Storage.fill_iota (module M) src;
+  Storage.fill_iota (module M) dst;
+  let bad = Invalid_argument "Bigarray.Array1.sub: bad sub-array" in
+  List.iter
+    (fun (what, spos, dpos, len) ->
+      Alcotest.check_raises what bad (fun () -> M.blit src spos dst dpos len);
+      for l = 0 to 39 do
+        Alcotest.(check int) (what ^ ": destination untouched") l
+          (M.to_int (M.get dst l))
+      done)
+    [
+      ("short source overrun", 36, 0, 8);
+      ("short destination overrun", 0, 38, 4);
+      ("short negative source", -1, 0, 2);
+      ("short negative destination", 0, -3, 2);
+      ("negative length", 0, 0, -1);
+      ("long source overrun", 1, 0, 40);
+      ("long destination overrun", 0, 4, 37);
+    ];
+  M.blit src 0 dst 40 0;
+  M.blit src 8 dst 32 8;
+  Alcotest.(check int) "in-range short blit" 15 (M.to_int (M.get dst 39))
+
 let tests =
   [
     Alcotest.test_case "float64 roundtrip" `Quick (roundtrip (module Storage.Float64));
@@ -82,4 +110,14 @@ let tests =
     Alcotest.test_case "blob sizes" `Quick test_blob_sizes;
     Alcotest.test_case "blob large tags" `Quick test_blob_large_tags;
     QCheck_alcotest.to_alcotest prop_blob_roundtrip;
+    Alcotest.test_case "float64 blit range" `Quick
+      (blit_range (module Storage.Float64));
+    Alcotest.test_case "float32 blit range" `Quick
+      (blit_range (module Storage.Float32));
+    Alcotest.test_case "int64 blit range" `Quick
+      (blit_range (module Storage.Int64_elt));
+    Alcotest.test_case "int32 blit range" `Quick
+      (blit_range (module Storage.Int32_elt));
+    Alcotest.test_case "int blit range" `Quick
+      (blit_range (module Storage.Int_elt));
   ]

@@ -21,6 +21,18 @@ let test_counter_by_parallel () =
     "exact weighted total" (1000 * 999 / 2)
     (Metrics.counter_value c - before)
 
+(* Pool workers race to force a lazily registered counter first (a
+   [lazy] value raises [CamlinternalLazy.Undefined] when two domains
+   force it together); every bump lands on the one registered counter. *)
+let test_lazy_counter_parallel () =
+  let get = Metrics.lazy_counter "test.lazy_parallel" in
+  let n = 10_000 in
+  Xpose_cpu.Pool.with_pool ~workers:4 (fun pool ->
+      Xpose_cpu.Pool.parallel_for pool ~lo:0 ~hi:n (fun _ ->
+          Metrics.incr (get ())));
+  Alcotest.(check int) "exact total" n
+    (Metrics.counter_value (Metrics.counter "test.lazy_parallel"))
+
 let test_shards_sum () =
   let c = Metrics.counter "test.shard_sum" in
   Xpose_cpu.Pool.with_pool ~workers:4 (fun pool ->
@@ -205,6 +217,8 @@ let tests =
     Alcotest.test_case "parallel counter is exact" `Quick test_counter_parallel;
     Alcotest.test_case "parallel incr ~by is exact" `Quick
       test_counter_by_parallel;
+    Alcotest.test_case "lazy counter forced by racing workers" `Quick
+      test_lazy_counter_parallel;
     Alcotest.test_case "shard values sum to the total" `Quick test_shards_sum;
     Alcotest.test_case "registration is idempotent by name" `Quick
       test_registration_idempotent;

@@ -4,4 +4,5 @@ let () =
       ("shape", Suite_shape.tests);
       ("planner", Suite_planner.tests);
       ("exec", Suite_exec.tests);
+      ("units", Suite_units.tests);
     ]
