@@ -12,7 +12,7 @@ module S = Storage.Float64
 module A = Instances.F64
 module Mkl = Xpose_baselines.Mkl_like.Make (S)
 module Gus = Xpose_baselines.Gustavson.Make (S)
-module Cache = Xpose_cpu.Cache_aware.Make (S)
+module Fused = Xpose_cpu.Fused.Make (S)
 module ConvAos = Xpose_simd.Aos.Make (S)
 
 let f64_iota len =
@@ -221,7 +221,7 @@ let ablation_cache_aware =
                ~hi:n));
       Test.make ~name:"cache_aware_rotate"
         (Staged.stage (fun () ->
-             Cache.rotate_columns p buf2 ~amount:(fun j -> j)));
+             Fused.rotate_columns p buf2 ~amount:(fun j -> j)));
     ]
 
 let extension_tests =
@@ -255,9 +255,9 @@ let extension_tests =
 
 let fused_tests =
   (* Non-coprime shape (gcd = 96) so every pass of the C2R sequence runs,
-     large enough that the column phase dominates: the fused engine saves
-     one full-matrix sweep over the unfused cache-aware passes, and both
-     should beat the decomposed per-column kernels. *)
+     large enough that the column phase dominates: the fused engine's one
+     panel visit replaces the decomposed kernels' col_rotate and
+     row_permute sweeps. *)
   let fm = 480 and fn = 384 in
   let p = Plan.make ~m:fm ~n:fn in
   let tmp = S.create (Plan.scratch_elements p) in
@@ -278,9 +278,6 @@ let fused_tests =
       roundtrip "fused_f64"
         (fun buf -> Xpose_cpu.Fused_f64.c2r ~ws p buf)
         (fun buf -> Xpose_cpu.Fused_f64.r2c ~ws p buf);
-      roundtrip "cache_aware_functor"
-        (fun buf -> Cache.c2r p buf ~tmp)
-        (fun buf -> Cache.r2c p buf ~tmp);
       roundtrip "kernels_decomposed"
         (fun buf -> Kernels_f64.c2r ~variant:Algo.C2r_decomposed p buf ~tmp)
         (fun buf -> Kernels_f64.r2c ~variant:Algo.R2c_decomposed p buf ~tmp);

@@ -8,9 +8,8 @@ open Cmdliner
 open Xpose_core
 module S = Storage.Int_elt
 module A = Instances.I
-module CacheA = Xpose_cpu.Cache_aware.Make (S)
+module FusedI = Xpose_cpu.Fused.Make (S)
 module ParT = Xpose_cpu.Par_transpose.Make (S)
-module ParC = Xpose_cpu.Par_cache_aware.Make (S)
 module Cycle = Xpose_baselines.Cycle_follow.Make (S)
 module Gus = Xpose_baselines.Gustavson.Make (S)
 module SungI = Xpose_baselines.Sung.Make (S)
@@ -43,13 +42,10 @@ let impls =
     { name = "algo-r2c";
       run = (fun ~pool:_ ~m ~n buf ->
           A.r2c (Plan.make ~m:n ~n:m) buf ~tmp:(S.create (max m n))) };
-    { name = "cache-aware";
-      run = (fun ~pool:_ ~m ~n buf ->
-          CacheA.c2r (Plan.make ~m ~n) buf ~tmp:(S.create (max m n))) };
+    { name = "fused-generic";
+      run = (fun ~pool:_ ~m ~n buf -> FusedI.transpose ~m ~n buf) };
     { name = "parallel";
       run = (fun ~pool ~m ~n buf -> ParT.c2r pool (Plan.make ~m ~n) buf) };
-    { name = "parallel-cache-aware";
-      run = (fun ~pool ~m ~n buf -> ParC.c2r pool (Plan.make ~m ~n) buf) };
     { name = "cycle-bitvec";
       run = (fun ~pool:_ ~m ~n buf -> Cycle.transpose_bitvec ~m ~n buf) };
     { name = "cycle-leader";
@@ -124,9 +120,49 @@ let gpu_exec_check ~m ~n =
   ignore (Xpose_simd.Gpu_exec.c2r mem ~m ~n);
   List.init (m * n) (Memory.peek mem)
 
+(* The production float64 pool engine: C2R and R2C on a pool of 1-3
+   lanes at a random panel width, each compared exactly against the float
+   iota transposed out of place. *)
+let fused_pool_families =
+  let module F = Xpose_cpu.Fused_f64 in
+  [
+    ( "fused-f64-c2r-pool",
+      fun ~panel_width pool ~m ~n buf ->
+        F.c2r_pool ~panel_width pool (Plan.make ~m ~n) buf );
+    ( "fused-f64-r2c-pool",
+      fun ~panel_width pool ~m ~n buf ->
+        F.r2c_pool ~panel_width pool (Plan.make ~m:n ~n:m) buf );
+  ]
+
+let fused_pool_check ~pools ~rng ~m ~n ~want it seed failures =
+  let lanes = Xpose_harness.Rng.int_range rng ~lo:1 ~hi:4 in
+  let panel_width = Xpose_harness.Rng.int_range rng ~lo:1 ~hi:20 in
+  let want = List.map float_of_int want in
+  List.iter
+    (fun (name, run) ->
+      let buf =
+        Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout (m * n)
+          float_of_int
+      in
+      let fail kind =
+        incr failures;
+        Printf.printf
+          "%s %s at m=%d n=%d lanes=%d width=%d (iteration %d, seed %d)\n" kind
+          name m n lanes panel_width it seed
+      in
+      match run ~panel_width pools.(lanes - 1) ~m ~n buf with
+      | () ->
+          if List.init (m * n) (Bigarray.Array1.get buf) <> want then
+            fail "MISMATCH"
+      | exception exn -> fail ("EXCEPTION " ^ Printexc.to_string exn))
+    fused_pool_families
+
 let run_fuzz iterations seed max_dim workers =
   let rng = Xpose_harness.Rng.create ~seed in
   let failures = ref 0 in
+  Xpose_cpu.Pool.with_pool ~workers:2 @@ fun pool2 ->
+  Xpose_cpu.Pool.with_pool ~workers:3 @@ fun pool3 ->
+  let pools = [| Xpose_cpu.Pool.sequential; pool2; pool3 |] in
   Xpose_cpu.Pool.with_pool ~workers (fun pool ->
       for it = 1 to iterations do
         let m = Xpose_harness.Rng.int_range rng ~lo:1 ~hi:(max_dim + 1) in
@@ -148,6 +184,7 @@ let run_fuzz iterations seed max_dim workers =
                 Printf.printf "EXCEPTION %s at m=%d n=%d: %s\n" impl.name m n
                   (Printexc.to_string exn))
           impls;
+        fused_pool_check ~pools ~rng ~m ~n ~want it seed failures;
         if gpu_exec_check ~m ~n <> want then begin
           incr failures;
           Printf.printf "MISMATCH gpu-exec at m=%d n=%d (iteration %d)\n" m n it
@@ -157,7 +194,7 @@ let run_fuzz iterations seed max_dim workers =
   if !failures = 0 then begin
     Printf.printf "fuzz: %d iterations x %d implementations, all agree\n"
       iterations
-      (List.length impls + 1);
+      (List.length impls + List.length fused_pool_families + 1);
     Printf.printf
       "fuzz: %d rank-N permutations x 2 executors, all match the oracle\n"
       iterations;

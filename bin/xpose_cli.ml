@@ -257,9 +257,9 @@ let plan_cmd =
 (* Engine selection shared by bench and report: [functor] is the
    element-generic Algo functor, [kernels] the specialized float64
    kernels, [decomposed] the same kernels with the §4.1 decomposed
-   column passes (separate col_rotate / row_permute sweeps), [cache]
-   the cache-aware §4.6/4.7 sweeps, [fused] the pass-fused panel
-   engine, [ooc] the windowed out-of-core engine (bench only: it
+   column passes (separate col_rotate / row_permute sweeps), [fused]
+   the pass-fused panel engine (the §4.6/4.7 cache-aware column
+   operations), [ooc] the windowed out-of-core engine (bench only: it
    transposes a backing file under a --window-bytes residency budget). *)
 let engine_conv =
   Arg.enum
@@ -267,7 +267,6 @@ let engine_conv =
       ("functor", `Functor);
       ("kernels", `Kernels);
       ("decomposed", `Decomposed);
-      ("cache", `Cache);
       ("fused", `Fused);
       ("ooc", `Ooc);
     ]
@@ -277,10 +276,8 @@ let engine_arg =
     value & opt engine_conv `Functor
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "One of functor, kernels, decomposed, cache, fused, ooc. See the \
-           bench suite for what each measures.")
-
-module CA = Xpose_cpu.Cache_aware.Make (S)
+          "One of functor, kernels, decomposed, fused, ooc. See the bench \
+           suite for what each measures.")
 
 let transpose_engine ~engine ~algorithm ~m ~n buf =
   match engine with
@@ -293,10 +290,6 @@ let transpose_engine ~engine ~algorithm ~m ~n buf =
       else
         Kernels_f64.r2c ~variant:Algo.R2c_decomposed (Plan.make ~m:n ~n:m) buf
           ~tmp
-  | `Cache ->
-      let tmp = S.create (max m n) in
-      if m > n then CA.c2r (Plan.make ~m ~n) buf ~tmp
-      else CA.r2c (Plan.make ~m:n ~n:m) buf ~tmp
   | `Fused -> Xpose_cpu.Fused_f64.transpose ~m ~n buf
   | `Ooc ->
       (* bench routes the ooc engine to its file path before reaching
@@ -544,7 +537,7 @@ let report_cmd =
       in
       match (algorithm, engine) with
       | `Cycle, _ -> `Error (false, "report: algorithm must be c2r or r2c")
-      | _, (`Kernels | `Decomposed | `Cache | `Ooc) ->
+      | _, (`Kernels | `Decomposed | `Ooc) ->
           `Error (false, "report: engine must be functor or fused")
       | (`C2r | `R2c) as algorithm, ((`Functor | `Fused) as engine) ->
           let transpose_once pool buf =

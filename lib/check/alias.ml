@@ -212,7 +212,7 @@ let window_counterexample (splitter : Xpose_ooc.Window.splitter) :
 
 (* The split itself: [Pool.chunk_bounds] partitions [lo, hi) exactly,
    for every range and lane count. Everything the row/column drivers
-   run ([Par_transpose], [Par_f64], the ooc per-window shuffles)
+   run ([Par_transpose], the ooc per-window shuffles)
    reduces to this split or a monotone image of it. *)
 let split_pool () =
   let any = add_pool range_ctx ~lo:(v "lo") ~hi:(v "hi") ~pair:false in

@@ -343,16 +343,6 @@ let engine_rollups results =
   let panel_passes = pass_names Xpose_cpu.Fused.Summary.panel_passes in
   let fused =
     [
-      rollup results ~subject:"engine cache"
-        ~detail:
-          "kernel shuffles + panel sweeps (rotate/permute per panel), all \
-           widths"
-        ~passes:
-          (panel_passes
-          @ pass_names
-              [ rotate_pre; rotate_post; col_rotate; col_unrotate;
-                row_shuffle_gather; row_shuffle_ungather; row_permute_q;
-                row_permute_q_inv ]);
       rollup results ~subject:"engine fused"
         ~detail:
           "panel coarse/fine/permute + kernel rotate fallback + row \

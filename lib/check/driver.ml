@@ -147,14 +147,10 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
   let split =
     if seeded then Footprint.off_by_one_split else Footprint.pool_split
   in
-  (* Panel engines are proved at every supported panel width; the
+  (* The panel engine is proved at every supported panel width; the
      row/column engines have no panel geometry, so one entry each
      suffices. *)
-  let panel_engine engine =
-    match (engine : Spec.engine) with
-    | Spec.Cache | Spec.Fused -> true
-    | Spec.Functor | Spec.Kernels | Spec.Decomposed -> false
-  in
+  let panel_engine engine = engine = Spec.Fused in
   let widths_of engine =
     if panel_engine engine then Xpose_cpu.Fused_f64.supported_widths
     else [ Footprint.default_panel_width ]
@@ -181,7 +177,7 @@ let race_entries ?(seeded = false) ~shapes ~permutes ~lanes () =
                          ~lanes:l ~m ~n ()))
                   (widths_of engine))
               lanes)
-          Spec.all_engines)
+          Footprint.parallel_engines)
       shapes
   in
   (* The batch driver is proved on both sides of its matrix- vs

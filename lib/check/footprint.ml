@@ -224,17 +224,22 @@ let panel_engine_barriers ~split ~lanes ~width (p : Plan.t) ~c2r_side =
     [ panel ~name:"fused_col"; row ~name:"row_unshuffle" ]
     @ if Plan.coprime p then [] else [ panel ~name:"rotate_post" ]
 
+(* [Kernels] runs serially only; its parallel schedule would be
+   [Functor]'s row/column chunking again. *)
+let parallel_engines = [ Spec.Functor; Spec.Decomposed; Spec.Fused ]
+
 let transpose_barriers ?(split = pool_split) ?(width = default_panel_width)
     ~engine ~lanes ~m ~n () =
   let c2r_side = m > n in
   let p = if c2r_side then Plan.make ~m ~n else Plan.make ~m:n ~n:m in
   match (engine : Spec.engine) with
-  | Spec.Functor | Spec.Kernels ->
+  | Spec.Functor ->
       rowcol_engine_barriers ~split ~lanes ~decomposed:false p ~c2r_side
   | Spec.Decomposed ->
       rowcol_engine_barriers ~split ~lanes ~decomposed:true p ~c2r_side
-  | Spec.Cache | Spec.Fused ->
-      panel_engine_barriers ~split ~lanes ~width p ~c2r_side
+  | Spec.Fused -> panel_engine_barriers ~split ~lanes ~width p ~c2r_side
+  | Spec.Kernels ->
+      invalid_arg "Footprint.transpose_barriers: kernels has no parallel driver"
 
 (* Fused_f64.transpose_batch: batch-parallel when the batch has at
    least one matrix per lane (each lane owns whole matrices; always on a

@@ -80,6 +80,11 @@ val off_by_one_split : split
 
 val default_panel_width : int
 
+val parallel_engines : Spec.engine list
+(** The engines with a parallel driver: [Functor] and [Decomposed]
+    ([Par_transpose]) and [Fused] ([Fused_f64]'s pool drivers).
+    [Kernels] runs serially only. *)
+
 val transpose_barriers :
   ?split:split ->
   ?width:int ->
@@ -91,9 +96,9 @@ val transpose_barriers :
   barrier list
 (** The barrier sequence the engine's parallel driver executes for an
     [m x n] transpose on [lanes] workers: row/column chunking for
-    [Functor]/[Kernels]/[Decomposed] ([Par_transpose] / [Par_f64]),
-    width-aligned panel-group chunking for [Cache]/[Fused]
-    ([Par_cache_aware] / [Fused_f64] pool drivers). *)
+    [Functor]/[Decomposed] ([Par_transpose]), width-aligned panel-group
+    chunking for [Fused] ([Fused_f64]'s pool drivers).
+    @raise Invalid_argument for an engine outside {!parallel_engines}. *)
 
 val batch_barriers :
   ?split:split ->

@@ -1,14 +1,13 @@
 open Xpose_core
 
-type engine = Functor | Kernels | Decomposed | Cache | Fused
+type engine = Functor | Kernels | Decomposed | Fused
 
-let all_engines = [ Functor; Kernels; Decomposed; Cache; Fused ]
+let all_engines = [ Functor; Kernels; Decomposed; Fused ]
 
 let engine_name = function
   | Functor -> "functor"
   | Kernels -> "kernels"
   | Decomposed -> "decomposed"
-  | Cache -> "cache"
   | Fused -> "fused"
 
 module Passes = struct
@@ -165,7 +164,7 @@ let transpose_model engine ~m ~n =
   | Functor | Kernels ->
       if c2r_side then c2r_model ~variant:Algo.C2r_gather p
       else r2c_model ~variant:Algo.R2c_fused p
-  | Decomposed | Cache ->
+  | Decomposed ->
       if c2r_side then c2r_model ~variant:Algo.C2r_decomposed p
       else r2c_model ~variant:Algo.R2c_decomposed p
   | Fused -> if c2r_side then fused_c2r_model p else fused_r2c_model p

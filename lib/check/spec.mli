@@ -10,8 +10,8 @@
 
 open Xpose_core
 
-(** The five transpose engines, named as on the [xpose] command line. *)
-type engine = Functor | Kernels | Decomposed | Cache | Fused
+(** The in-RAM transpose engines, named as on the [xpose] command line. *)
+type engine = Functor | Kernels | Decomposed | Fused
 
 val all_engines : engine list
 val engine_name : engine -> string
@@ -47,7 +47,7 @@ val r2c_model : ?variant:Algo.r2c_variant -> Plan.t -> (string * Perm.t) list
 val transpose_model : engine -> m:int -> n:int -> (string * Perm.t) list
 (** The pass sequence [transpose ~m ~n] executes on the given engine:
     default variants for [Functor]/[Kernels], decomposed variants for
-    [Decomposed]/[Cache], and the fused column pass (symbolically the
+    [Decomposed], and the fused column pass (symbolically the
     composition of its two column-local sub-passes) for [Fused]. *)
 
 val probes : ?widths:int list -> m:int -> n:int -> unit -> int list

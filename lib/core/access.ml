@@ -463,12 +463,11 @@ module Passes = struct
     col_gather ~pass (fun ~j:_ i -> index i)
 
   (* -- engine pipelines --------------------------------------------------
-     The row/column engines (Algo.Make, Kernels_f64, and the unfused
-     sweeps of Cache_aware) are the same pass pipeline; one summary list
-     certifies them all. The pre/post rotations only run when
-     gcd(m, n) > 1, but their summaries concretize to the empty set in
-     the coprime case (the computed residue k is 0), so including them
-     unconditionally stays exact. *)
+     The row/column engines (Algo.Make and Kernels_f64) are the same pass
+     pipeline; one summary list certifies them all. The pre/post
+     rotations only run when gcd(m, n) > 1, but their summaries
+     concretize to the empty set in the coprime case (the computed
+     residue k is 0), so including them unconditionally stays exact. *)
 
   type c2r_pipeline = Gather | Scatter | Decomposed
   type r2c_pipeline = Fused_inverse | Decomposed_inverse

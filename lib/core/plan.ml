@@ -134,9 +134,9 @@ module Cache = struct
 
   let default = create ()
 
-  let m_hits = Xpose_obs.Metrics.lazy_counter "plan_cache.hits"
-  let m_misses = Xpose_obs.Metrics.lazy_counter "plan_cache.misses"
-  let m_evictions = Xpose_obs.Metrics.lazy_counter "plan_cache.evictions"
+  let m_hits = Xpose_obs.Metrics.(lazily counter "plan_cache.hits")
+  let m_misses = Xpose_obs.Metrics.(lazily counter "plan_cache.misses")
+  let m_evictions = Xpose_obs.Metrics.(lazily counter "plan_cache.evictions")
 
   (* Least-recently-used entry by stamp; a linear scan is fine at the
      capacities plans are cached at (the table holds tens of entries). *)

@@ -19,8 +19,8 @@
     {!Xpose_core.Pass_cost.fused_col}.
 
     {!Xpose_cpu.Fused_f64} is the monomorphic float64 twin of this
-    functor; {!Xpose_cpu.Cache_aware} re-exports the unfused sweeps with
-    its historical interface. *)
+    functor; this generic version is the reference the tests and the
+    differential fuzzer compare it against. *)
 
 module Make (S : Xpose_core.Storage.S) : sig
   module Ws : module type of Xpose_core.Workspace.Make (S)

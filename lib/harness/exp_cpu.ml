@@ -42,9 +42,10 @@ let impls =
           Par.transpose Xpose_cpu.Pool.sequential ~m ~n buf);
     };
     {
-      name = "C2R, pooled";
+      name = "C2R, pooled (fused)";
       metric_key = "median_c2r_pool_gbps";
-      run = (fun ~pool ~m ~n buf -> Xpose_cpu.Par_f64.transpose pool ~m ~n buf);
+      run =
+        (fun ~pool ~m ~n buf -> Xpose_cpu.Fused_f64.transpose_pool pool ~m ~n buf);
     };
     {
       name = "Gustavson (tiled)";

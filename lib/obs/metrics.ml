@@ -46,16 +46,16 @@ let counter name =
     (fun () -> C { c_name = name; cells = atomic_cells shards })
     (function C c -> Some c | _ -> None)
 
-let lazy_counter name =
+let lazily register name =
   let cell = Atomic.make None in
   fun () ->
     match Atomic.get cell with
-    | Some c -> c
+    | Some m -> m
     | None ->
-        (* racing domains all get the one registered counter *)
-        let c = counter name in
-        Atomic.set cell (Some c);
-        c
+        (* racing domains and threads all get the one registered metric *)
+        let m = register name in
+        Atomic.set cell (Some m);
+        m
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.cells.(shard ()) by)
 let counter_value c = Array.fold_left (fun a cell -> a + Atomic.get cell) 0 c.cells

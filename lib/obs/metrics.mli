@@ -16,18 +16,21 @@
 val shards : int
 (** Number of shards per counter/histogram (a power of two). *)
 
+val lazily : (string -> 'a) -> string -> unit -> 'a
+(** [lazily register name] is registration on first use: its first call,
+    from any domain or thread, runs [register name] (one of {!counter},
+    {!gauge} or {!histogram}), and later calls return the same metric
+    without taking the registry lock. Unlike a [lazy] value it may be
+    forced by several domains or threads at once: a [Lazy.force] that
+    meets another thread's unfinished force of the same value raises
+    [CamlinternalLazy.Undefined], and registration blocks on the
+    registry mutex, which lets another thread run mid-force. *)
+
 (** {1 Counters} *)
 
 type counter
 
 val counter : string -> counter
-
-val lazy_counter : string -> unit -> counter
-(** [lazy_counter name] registers [name] on its first call, from any
-    domain, and returns the same counter afterwards without taking the
-    registry lock. Unlike a [lazy] value it may be forced by several
-    domains at once (a [Lazy.force] race raises
-    [CamlinternalLazy.Undefined]). *)
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int

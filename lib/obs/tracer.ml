@@ -112,8 +112,8 @@ let instant ?(cat = "instant") ?args name =
 
 (* -- the per-pass entry point ------------------------------------------- *)
 
-let m_passes = Metrics.lazy_counter "xpose.passes_total"
-let m_pred = Metrics.lazy_counter "xpose.pred_touches_total"
+let m_passes = Metrics.(lazily counter "xpose.passes_total")
+let m_pred = Metrics.(lazily counter "xpose.pred_touches_total")
 
 let pass ~name ?(batch = 1) ?(block = 1) ~rows ~cols ~pred_touches
     ~scratch_elems f =
@@ -138,7 +138,7 @@ let pass ~name ?(batch = 1) ?(block = 1) ~rows ~cols ~pred_touches
       name f
   end
 
-let m_panels = Metrics.lazy_counter "xpose.panels_total"
+let m_panels = Metrics.(lazily counter "xpose.panels_total")
 
 let panel ~name ~lo ~width ~rows ~pred_touches f =
   Metrics.incr (m_panels ());

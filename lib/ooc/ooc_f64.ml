@@ -10,11 +10,11 @@ let default_window_bytes = 64 * 1024 * 1024
 
 (* Registered on first use so linking the library does not grow the
    metrics dump of runs that never go out of core. *)
-let m_windows = lazy (Xpose_obs.Metrics.counter "ooc.windows")
-let m_bytes = lazy (Xpose_obs.Metrics.counter "ooc.bytes_mapped")
-let m_hits = lazy (Xpose_obs.Metrics.counter "ooc.prefetch_hits")
-let m_waits = lazy (Xpose_obs.Metrics.counter "ooc.prefetch_waits")
-let g_peak = lazy (Xpose_obs.Metrics.gauge "ooc.window_peak_bytes")
+let m_windows = Xpose_obs.Metrics.(lazily counter "ooc.windows")
+let m_bytes = Xpose_obs.Metrics.(lazily counter "ooc.bytes_mapped")
+let m_hits = Xpose_obs.Metrics.(lazily counter "ooc.prefetch_hits")
+let m_waits = Xpose_obs.Metrics.(lazily counter "ooc.prefetch_waits")
+let g_peak = Xpose_obs.Metrics.(lazily gauge "ooc.window_peak_bytes")
 
 (* -- residency ledger ------------------------------------------------------
 
@@ -34,23 +34,23 @@ let resident led bytes =
     if now > p && not (Atomic.compare_and_set led.peak p now) then bump ()
   in
   bump ();
-  let g = Lazy.force g_peak in
+  let g = g_peak () in
   let p = float_of_int (Atomic.get led.peak) in
   if p > Xpose_obs.Metrics.gauge_value g then Xpose_obs.Metrics.set_gauge g p
 
 let released led bytes = ignore (Atomic.fetch_and_add led.cur (-bytes))
 
 let map_counted led ?(write = true) fd ~pos ~len =
-  Xpose_obs.Metrics.incr (Lazy.force m_windows);
-  Xpose_obs.Metrics.incr ~by:(len * 8) (Lazy.force m_bytes);
+  Xpose_obs.Metrics.incr (m_windows ());
+  Xpose_obs.Metrics.incr ~by:(len * 8) (m_bytes ());
   resident led (len * 8);
   FM.map_range ~write fd ~pos ~len
 
 let unmap_counted led ~len = released led (len * 8)
 
 let count_await job =
-  if Io_domain.await job then Xpose_obs.Metrics.incr (Lazy.force m_hits)
-  else Xpose_obs.Metrics.incr (Lazy.force m_waits)
+  if Io_domain.await job then Xpose_obs.Metrics.incr (m_hits ())
+  else Xpose_obs.Metrics.incr (m_waits ())
 
 (* Touch one element per page so the prefetching domain takes the page
    faults, not the pool workers. 512 float64s = one 4 KiB page. *)

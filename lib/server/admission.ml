@@ -12,10 +12,10 @@ type t = {
 type route = Fused | Ooc of { window_bytes : int }
 type decision = Admit of route | Reject of Protocol.reject_reason
 
-let m_fused = lazy (Xpose_obs.Metrics.counter "server.admit.fused")
-let m_ooc = lazy (Xpose_obs.Metrics.counter "server.admit.ooc")
-let m_rejected = lazy (Xpose_obs.Metrics.counter "server.admit.rejected")
-let g_inflight = lazy (Xpose_obs.Metrics.gauge "server.inflight_bytes")
+let m_fused = Xpose_obs.Metrics.(lazily counter "server.admit.fused")
+let m_ooc = Xpose_obs.Metrics.(lazily counter "server.admit.ooc")
+let m_rejected = Xpose_obs.Metrics.(lazily counter "server.admit.rejected")
+let g_inflight = Xpose_obs.Metrics.(lazily gauge "server.inflight_bytes")
 
 let create ?(budget_bytes = 1024 * 1024 * 1024)
     ?(default_quota_bytes = 16 * 1024 * 1024)
@@ -63,11 +63,11 @@ let admit t ~tenant ~bytes =
   in
   let now = t.in_flight in
   Mutex.unlock t.mu;
-  Xpose_obs.Metrics.set_gauge (Lazy.force g_inflight) (float_of_int now);
+  Xpose_obs.Metrics.set_gauge (g_inflight ()) (float_of_int now);
   (match decision with
-  | Admit Fused -> Xpose_obs.Metrics.incr (Lazy.force m_fused)
-  | Admit (Ooc _) -> Xpose_obs.Metrics.incr (Lazy.force m_ooc)
-  | Reject _ -> Xpose_obs.Metrics.incr (Lazy.force m_rejected));
+  | Admit Fused -> Xpose_obs.Metrics.incr (m_fused ())
+  | Admit (Ooc _) -> Xpose_obs.Metrics.incr (m_ooc ())
+  | Reject _ -> Xpose_obs.Metrics.incr (m_rejected ()));
   decision
 
 let release t ~bytes =
@@ -76,7 +76,7 @@ let release t ~bytes =
   assert (t.in_flight >= 0);
   let now = t.in_flight in
   Mutex.unlock t.mu;
-  Xpose_obs.Metrics.set_gauge (Lazy.force g_inflight) (float_of_int now)
+  Xpose_obs.Metrics.set_gauge (g_inflight ()) (float_of_int now)
 
 let in_flight_bytes t =
   Mutex.lock t.mu;

@@ -20,8 +20,8 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let m_batches = lazy (Xpose_obs.Metrics.counter "server.batches")
-let m_batched = lazy (Xpose_obs.Metrics.counter "server.batched_jobs")
+let m_batches = Xpose_obs.Metrics.(lazily counter "server.batches")
+let m_batched = Xpose_obs.Metrics.(lazily counter "server.batched_jobs")
 
 let create ?(max_batch = 8) ?(window_ns = 2_000_000) () =
   if max_batch < 1 then invalid_arg "Coalescer.create: max_batch must be >= 1";
@@ -92,10 +92,10 @@ let take t ~dispatchable =
   (match batches with
   | [] -> ()
   | _ ->
-      Xpose_obs.Metrics.incr ~by:(List.length batches) (Lazy.force m_batches);
+      Xpose_obs.Metrics.incr ~by:(List.length batches) (m_batches ());
       Xpose_obs.Metrics.incr
         ~by:(List.fold_left (fun acc g -> acc + g.count) 0 batches)
-        (Lazy.force m_batched));
+        (m_batched ()));
   List.map (fun g -> (g.g_key, List.rev g.jobs_rev)) batches
 
 let ready t ~now_ns =

@@ -42,20 +42,20 @@ let default_config ~socket_path =
 
 (* -- metrics ----------------------------------------------------------- *)
 
-let m_connections = lazy (Metrics.counter "server.connections")
-let m_requests = lazy (Metrics.counter "server.requests")
-let m_responses = lazy (Metrics.counter "server.responses")
-let m_stats_requests = lazy (Metrics.counter "server.stats_requests")
-let m_protocol_errors = lazy (Metrics.counter "server.protocol_errors")
-let m_rej_queue = lazy (Metrics.counter "server.rejects.queue_full")
-let m_rej_budget = lazy (Metrics.counter "server.rejects.budget")
-let m_job_errors = lazy (Metrics.counter "server.job_errors")
-let h_latency = lazy (Metrics.histogram "server.latency_ns")
-let h_queue_wait = lazy (Metrics.histogram "server.queue_wait_ns")
-let h_coalesce = lazy (Metrics.histogram "server.coalesce_delay_ns")
-let g_depth_high = lazy (Metrics.gauge "server.queue_depth.high")
-let g_depth_normal = lazy (Metrics.gauge "server.queue_depth.normal")
-let g_depth_low = lazy (Metrics.gauge "server.queue_depth.low")
+let m_connections = Metrics.(lazily counter "server.connections")
+let m_requests = Metrics.(lazily counter "server.requests")
+let m_responses = Metrics.(lazily counter "server.responses")
+let m_stats_requests = Metrics.(lazily counter "server.stats_requests")
+let m_protocol_errors = Metrics.(lazily counter "server.protocol_errors")
+let m_rej_queue = Metrics.(lazily counter "server.rejects.queue_full")
+let m_rej_budget = Metrics.(lazily counter "server.rejects.budget")
+let m_job_errors = Metrics.(lazily counter "server.job_errors")
+let h_latency = Metrics.(lazily histogram "server.latency_ns")
+let h_queue_wait = Metrics.(lazily histogram "server.queue_wait_ns")
+let h_coalesce = Metrics.(lazily histogram "server.coalesce_delay_ns")
+let g_depth_high = Metrics.(lazily gauge "server.queue_depth.high")
+let g_depth_normal = Metrics.(lazily gauge "server.queue_depth.normal")
+let g_depth_low = Metrics.(lazily gauge "server.queue_depth.low")
 
 let stats_json () = Metrics.render_json ()
 
@@ -89,7 +89,7 @@ let send_response conn resp =
   (try
      if conn.alive then begin
        P.write_frame conn.fd (P.encode_response resp);
-       Metrics.incr (Lazy.force m_responses)
+       Metrics.incr (m_responses ())
      end
    with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false);
   Mutex.unlock conn.wmu
@@ -149,11 +149,11 @@ let wake t =
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
 let update_depth_gauges t =
-  Metrics.set_gauge (Lazy.force g_depth_high)
+  Metrics.set_gauge (g_depth_high ())
     (float_of_int (Job_queue.depth t.queue P.High));
-  Metrics.set_gauge (Lazy.force g_depth_normal)
+  Metrics.set_gauge (g_depth_normal ())
     (float_of_int (Job_queue.depth t.queue P.Normal));
-  Metrics.set_gauge (Lazy.force g_depth_low)
+  Metrics.set_gauge (g_depth_low ())
     (float_of_int (Job_queue.depth t.queue P.Low))
 
 (* -- connection reclamation -------------------------------------------- *)
@@ -203,15 +203,15 @@ let busy_reply t ~id ~reason =
     }
 
 let handle_transpose t conn ~id ~trace ~tenant ~priority ~m ~n ~payload =
-  Metrics.incr (Lazy.force m_requests);
+  Metrics.incr (m_requests ());
   let bytes = m * n * 8 in
   match Admission.admit t.admission ~tenant ~bytes with
   | Admission.Reject reason ->
       Metrics.incr
-        (Lazy.force
-           (match reason with
-           | P.Queue_full -> m_rej_queue
-           | P.Budget_exhausted -> m_rej_budget));
+        ((match reason with
+         | P.Queue_full -> m_rej_queue
+         | P.Budget_exhausted -> m_rej_budget)
+           ());
       send_response conn (busy_reply t ~id ~reason)
   | Admission.Admit route -> (
       let job =
@@ -237,7 +237,7 @@ let handle_transpose t conn ~id ~trace ~tenant ~priority ~m ~n ~payload =
       | `Ok -> wake t
       | `Queue_full | `Bytes_full ->
           Admission.release t.admission ~bytes;
-          Metrics.incr (Lazy.force m_rej_queue);
+          Metrics.incr (m_rej_queue ());
           send_response conn (busy_reply t ~id ~reason:P.Queue_full);
           conn_job_finished t conn)
 
@@ -251,7 +251,7 @@ let serve_conn t conn =
       | Error (`Oversized _ as e) ->
           (* The stream cannot resynchronize after an oversized header:
              answer and drop the connection. *)
-          Metrics.incr (Lazy.force m_protocol_errors);
+          Metrics.incr (m_protocol_errors ());
           send_response conn
             (P.Error_reply { id = 0; message = P.error_to_string e });
           ()
@@ -260,16 +260,16 @@ let serve_conn t conn =
           | Error e ->
               (* Frame boundaries survive a bad body; keep the
                  connection. *)
-              Metrics.incr (Lazy.force m_protocol_errors);
+              Metrics.incr (m_protocol_errors ());
               send_response conn
                 (P.Error_reply { id = 0; message = P.error_to_string e });
               loop ()
           | Ok (P.Stats { id }) ->
-              Metrics.incr (Lazy.force m_stats_requests);
+              Metrics.incr (m_stats_requests ());
               send_response conn (P.Stats_reply { id; json = stats_json () });
               loop ()
           | Ok (P.Stats_text { id }) ->
-              Metrics.incr (Lazy.force m_stats_requests);
+              Metrics.incr (m_stats_requests ());
               send_response conn
                 (P.Stats_reply { id; json = Xpose_obs.Exposition.render () });
               loop ()
@@ -322,7 +322,7 @@ let acceptor_loop t () =
       | _ :: _, _, _ -> (
           match Unix.accept t.listen_fd with
           | fd, _ ->
-              Metrics.incr (Lazy.force m_connections);
+              Metrics.incr (m_connections ());
               (* Bound every reply write: a peer that stops reading
                  surfaces as a timed-out write, not a dispatcher that
                  hangs on its full socket buffer. 0 keeps writes
@@ -370,12 +370,12 @@ let acceptor_loop t () =
 
 let finish t job resp =
   send_response job.j_conn resp;
-  Metrics.observe (Lazy.force h_latency) (now_ns () -. job.j_arrival_ns);
+  Metrics.observe (h_latency ()) (now_ns () -. job.j_arrival_ns);
   Admission.release t.admission ~bytes:job.j_bytes;
   conn_job_finished t job.j_conn
 
 let fail_batch t jobs exn =
-  Metrics.incr ~by:(List.length jobs) (Lazy.force m_job_errors);
+  Metrics.incr ~by:(List.length jobs) (m_job_errors ());
   let message = Printexc.to_string exn in
   List.iter
     (fun job -> finish t job (P.Error_reply { id = job.j_id; message }))
@@ -428,8 +428,8 @@ let observe_waits jobs ~dispatch_ns =
     (fun job ->
       let queue_wait = Float.max 0.0 (job.j_dequeue_ns -. job.j_arrival_ns) in
       let coalesce = Float.max 0.0 (dispatch_ns -. job.j_dequeue_ns) in
-      Metrics.observe (Lazy.force h_queue_wait) queue_wait;
-      Metrics.observe (Lazy.force h_coalesce) coalesce;
+      Metrics.observe (h_queue_wait ()) queue_wait;
+      Metrics.observe (h_coalesce ()) coalesce;
       if Tracer.enabled () then begin
         let args =
           [ ("trace", Tracer.Int job.j_trace); ("id", Tracer.Int job.j_id) ]

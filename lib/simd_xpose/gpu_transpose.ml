@@ -24,8 +24,8 @@ let subrow_lines cfg ~row_elems ~w ~s =
   else aligned + 1
 
 (* Column rotation over the full [rows x cols] view with per-column
-   [amount], grouped in sub-rows of [w] columns exactly as
-   Xpose_cpu.Cache_aware does: a coarse cycle-following pass for groups
+   [amount], grouped in sub-rows of [w] columns exactly as the panel
+   sweeps of Xpose_cpu.Fused do: a coarse cycle-following pass for groups
    with a nonzero shared amount, then a fine blocked pass for groups with
    nonzero residuals. *)
 let charge_rotate cfg mem ~rows ~cols ~s ~amount =

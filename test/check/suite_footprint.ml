@@ -130,7 +130,7 @@ let test_pool_split_is_chunk_bounds () =
       (pool_split ~lo:3 ~hi:45 ~chunks:5 k)
   done
 
-let engines = Spec.all_engines
+let engines = parallel_engines
 
 let test_real_split_proves_seeded_split_detected () =
   List.iter

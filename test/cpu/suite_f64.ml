@@ -1,8 +1,7 @@
-(* The specialized float64 kernels and their pooled driver must be
-   behaviourally identical to the element-generic functor. *)
+(* The specialized float64 kernels must be behaviourally identical to
+   the element-generic functor. *)
 
 open Xpose_core
-open Xpose_cpu
 module S = Storage.Float64
 module A = Instances.F64
 
@@ -92,28 +91,6 @@ let test_errors () =
     (Invalid_argument "Kernels_f64: scratch too small") (fun () ->
       K.r2c p buf ~tmp:tiny)
 
-let test_par_f64_matches () =
-  Pool.with_pool ~workers:3 (fun pool ->
-      List.iter
-        (fun (m, n) ->
-          let p = Plan.make ~m ~n in
-          let expected = reference Algo.C2r_gather m n in
-          let buf = iota_buf (m * n) in
-          Par_f64.c2r pool p buf;
-          Alcotest.(check (list (float 0.0)))
-            (Printf.sprintf "par_f64 c2r %dx%d" m n)
-            expected (buf_to_list buf);
-          Par_f64.r2c pool p buf;
-          Alcotest.(check (list (float 0.0)))
-            "par_f64 r2c"
-            (List.init (m * n) float_of_int)
-            (buf_to_list buf);
-          Par_f64.transpose pool ~m ~n buf;
-          let back = iota_buf (m * n) in
-          Alcotest.(check bool) "par_f64 dispatch" true
-            (A.is_transpose_of ~m ~n ~original:back buf))
-        [ (3, 8); (40, 25); (25, 40); (61, 61) ])
-
 let prop_kernels_equal_generic =
   QCheck2.Test.make ~name:"Kernels_f64 = Algo functor on random dims"
     ~count:100
@@ -132,6 +109,5 @@ let tests =
     Alcotest.test_case "r2c variants" `Quick test_r2c_variants;
     Alcotest.test_case "transpose dispatch" `Quick test_transpose_dispatch;
     Alcotest.test_case "argument validation" `Quick test_errors;
-    Alcotest.test_case "par_f64 matches" `Quick test_par_f64_matches;
     QCheck_alcotest.to_alcotest prop_kernels_equal_generic;
   ]

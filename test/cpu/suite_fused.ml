@@ -442,6 +442,197 @@ let prop_mk8_agrees_with_generic =
       F.r2c ~panel_width:width ~block_rows p buf;
       c2r_ok && buf_to_list buf = expected_r2c)
 
+(* -- the cache-aware column operations (§4.6 rotation, §4.7 row
+   permutation) as Fused_f64 sweeps, against the Algo phases ----------- *)
+
+let oracle_phase m n phase =
+  let p = Plan.make ~m ~n in
+  let buf = iota_buf (m * n) in
+  let tmp = S.create (Plan.scratch_elements p) in
+  phase p buf ~tmp;
+  buf_to_list buf
+
+let check_rotate ~width m n amount =
+  let p = Plan.make ~m ~n in
+  let expected =
+    oracle_phase m n (fun p buf ~tmp ->
+        A.Phases.rotate_columns p buf ~tmp ~amount ~lo:0 ~hi:n)
+  in
+  let buf = iota_buf (m * n) in
+  F.rotate_columns ~panel_width:width p buf ~amount;
+  Alcotest.(check (list (float 0.0)))
+    (Printf.sprintf "rotate %dx%d w=%d" m n width)
+    expected (buf_to_list buf)
+
+let test_rotate_families () =
+  (* The two amount families the algorithm uses (§4.6), plus inverses. *)
+  List.iter
+    (fun (m, n) ->
+      let p = Plan.make ~m ~n in
+      List.iter
+        (fun width ->
+          check_rotate ~width m n (Plan.rotate_amount p);
+          check_rotate ~width m n (fun j -> j);
+          check_rotate ~width m n (fun j -> -j);
+          check_rotate ~width m n (fun j -> -Plan.rotate_amount p j))
+        [ 1; 3; 16; 64 ])
+    [ (12, 18); (7, 7); (30, 8); (8, 30); (64, 48) ]
+
+let test_rotate_wild_amounts () =
+  (* Residuals not bounded by the panel width: the per-column fallback
+     must still be exact. *)
+  check_rotate ~width:8 20 24 (fun j -> (j * 7) + 3);
+  check_rotate ~width:8 20 24 (fun j -> j * j)
+
+let test_rotate_zero () = check_rotate ~width:16 9 14 (fun _ -> 0)
+
+let check_permute ~width m n index =
+  let p = Plan.make ~m ~n in
+  let expected =
+    oracle_phase m n (fun p buf ~tmp ->
+        A.Phases.permute_rows p buf ~tmp ~index ~lo:0 ~hi:n)
+  in
+  let buf = iota_buf (m * n) in
+  F.permute_cols ~panel_width:width p buf
+    ~cycles:(Fused_f64.cycles ~m ~index);
+  Alcotest.(check (list (float 0.0)))
+    (Printf.sprintf "permute %dx%d w=%d" m n width)
+    expected (buf_to_list buf)
+
+let test_permute_q_family () =
+  List.iter
+    (fun (m, n) ->
+      let p = Plan.make ~m ~n in
+      List.iter
+        (fun width ->
+          check_permute ~width m n (Plan.q p);
+          check_permute ~width m n (Plan.q_inv p);
+          check_permute ~width m n Fun.id;
+          check_permute ~width m n (fun i -> m - 1 - i))
+        [ 1; 5; 16 ])
+    [ (12, 18); (16, 10); (31, 9) ]
+
+let test_permute_rejects_non_permutation () =
+  Alcotest.check_raises "not a permutation"
+    (Invalid_argument "Fused_f64: index is not a permutation") (fun () ->
+      ignore (Fused_f64.cycles ~m:6 ~index:(fun i -> if i = 0 then 1 else i)));
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Fused_f64: index out of range") (fun () ->
+      ignore (Fused_f64.cycles ~m:6 ~index:(fun i -> i + 1)))
+
+let test_bad_column_range () =
+  let p = Plan.make ~m:6 ~n:4 in
+  let buf = iota_buf 24 in
+  let cycles = Fused_f64.cycles ~m:6 ~index:(Plan.q p) in
+  List.iter
+    (fun (lo, hi) ->
+      let raises op run =
+        Alcotest.check_raises
+          (Printf.sprintf "%s [%d,%d)" op lo hi)
+          (Invalid_argument ("Fused_f64." ^ op ^ ": bad column range"))
+          run
+      in
+      raises "rotate_columns" (fun () ->
+          F.rotate_columns ~lo ~hi p buf ~amount:(fun j -> j));
+      raises "permute_cols" (fun () -> F.permute_cols ~lo ~hi p buf ~cycles);
+      raises "c2r_cols" (fun () -> F.c2r_cols ~lo ~hi p buf ~cycles);
+      raises "r2c_cols" (fun () -> F.r2c_cols ~lo ~hi p buf ~cycles))
+    [ (-1, 4); (0, 5); (3, 2) ];
+  Alcotest.(check (list (float 0.0)))
+    "rejected ranges move nothing"
+    (List.init 24 float_of_int)
+    (buf_to_list buf)
+
+let test_ragged_panel_widths () =
+  (* Widths that leave a narrow last panel, or exceed n. *)
+  let m = 40 and n = 56 in
+  let p = Plan.make ~m ~n in
+  let expected = oracle_c2r m n in
+  List.iter
+    (fun width ->
+      let buf = iota_buf (m * n) in
+      F.c2r ~panel_width:width p buf;
+      Alcotest.(check (list (float 0.0)))
+        (Printf.sprintf "serial width %d" width)
+        expected (buf_to_list buf))
+    [ 3; 5; 13; 200 ]
+
+let test_c2r_r2c_widths () =
+  List.iter
+    (fun (m, n) ->
+      let expected = oracle_c2r m n in
+      let p = Plan.make ~m ~n in
+      List.iter
+        (fun width ->
+          let buf = iota_buf (m * n) in
+          F.c2r ~panel_width:width p buf;
+          Alcotest.(check (list (float 0.0)))
+            (Printf.sprintf "cache-aware c2r %dx%d w=%d" m n width)
+            expected (buf_to_list buf);
+          F.r2c ~panel_width:width p buf;
+          Alcotest.(check (list (float 0.0)))
+            "cache-aware r2c inverts"
+            (List.init (m * n) float_of_int)
+            (buf_to_list buf))
+        [ 4; 16; 32 ])
+    [ (3, 8); (4, 8); (48, 36); (36, 48); (55, 50); (1, 9); (9, 1) ]
+
+let prop_cache_aware_equals_plain =
+  QCheck2.Test.make ~name:"cache-aware c2r = plain c2r" ~count:80
+    QCheck2.Gen.(triple (int_range 1 64) (int_range 1 64) (int_range 1 24))
+    (fun (m, n, width) ->
+      let p = Plan.make ~m ~n in
+      let buf = iota_buf (m * n) in
+      F.c2r ~panel_width:width p buf;
+      buf_to_list buf = oracle_c2r m n)
+
+(* -- the same column operations driven across a domain pool ---------- *)
+
+let test_pool_matches_plain () =
+  with_pool 3 (fun pool ->
+      List.iter
+        (fun (m, n) ->
+          let p = Plan.make ~m ~n in
+          let buf = iota_buf (m * n) in
+          F.c2r_pool pool p buf;
+          Alcotest.(check (list (float 0.0)))
+            (Printf.sprintf "par cache-aware c2r %dx%d" m n)
+            (oracle_c2r m n) (buf_to_list buf);
+          F.r2c_pool pool p buf;
+          Alcotest.(check (list (float 0.0)))
+            "r2c inverts"
+            (List.init (m * n) float_of_int)
+            (buf_to_list buf))
+        [ (1, 1); (3, 8); (4, 8); (48, 36); (36, 48); (97, 55); (16, 100) ])
+
+let test_pool_widths () =
+  (* Widths that leave a narrow last panel, or exceed n. *)
+  let m = 40 and n = 56 in
+  let p = Plan.make ~m ~n in
+  let expected = oracle_c2r m n in
+  with_pool 2 (fun pool ->
+      List.iter
+        (fun width ->
+          let buf = iota_buf (m * n) in
+          F.c2r_pool ~panel_width:width pool p buf;
+          Alcotest.(check (list (float 0.0)))
+            (Printf.sprintf "pool width %d" width)
+            expected (buf_to_list buf))
+        [ 1; 3; 5; 13; 16; 64; 200 ])
+
+let test_pool_order_dispatch () =
+  with_pool 2 (fun pool ->
+      List.iter
+        (fun (m, n, order) ->
+          let buf = iota_buf (m * n) in
+          let original = A.copy buf in
+          F.transpose_pool ~order pool ~m ~n buf;
+          Alcotest.(check bool)
+            (Printf.sprintf "dispatch %dx%d" m n)
+            true
+            (A.is_transpose_of ~order ~m ~n ~original buf))
+        [ (33, 12, Layout.Row_major); (12, 33, Layout.Col_major) ])
+
 let tests =
   [
     Alcotest.test_case "fused f64 c2r/r2c vs oracle" `Quick
@@ -472,4 +663,39 @@ let tests =
     QCheck_alcotest.to_alcotest prop_fused_equals_oracle;
     QCheck_alcotest.to_alcotest prop_r2c_inverts;
     QCheck_alcotest.to_alcotest prop_mk8_agrees_with_generic;
+  ]
+
+let cache_aware_tests =
+  [
+    Alcotest.test_case "rotate amount families" `Quick test_rotate_families;
+    Alcotest.test_case "rotate fallback for wild amounts" `Quick
+      test_rotate_wild_amounts;
+    Alcotest.test_case "rotate by zero" `Quick test_rotate_zero;
+    Alcotest.test_case "permute q family" `Quick test_permute_q_family;
+    Alcotest.test_case "permute rejects non-permutations" `Quick
+      test_permute_rejects_non_permutation;
+    Alcotest.test_case "bad column range rejected" `Quick test_bad_column_range;
+    Alcotest.test_case "panel width not dividing n" `Quick
+      test_ragged_panel_widths;
+    Alcotest.test_case "cache-aware c2r/r2c" `Quick test_c2r_r2c_widths;
+    QCheck_alcotest.to_alcotest prop_cache_aware_equals_plain;
+  ]
+
+let prop_pool_random =
+  QCheck2.Test.make ~name:"par cache-aware = plain over random shapes"
+    ~count:50
+    QCheck2.Gen.(triple (int_range 1 48) (int_range 1 48) (int_range 1 4))
+    (fun (m, n, workers) ->
+      with_pool workers (fun pool ->
+          let p = Plan.make ~m ~n in
+          let buf = iota_buf (m * n) in
+          F.c2r_pool pool p buf;
+          buf_to_list buf = oracle_c2r m n))
+
+let par_cache_aware_tests =
+  [
+    Alcotest.test_case "matches plain" `Quick test_pool_matches_plain;
+    Alcotest.test_case "group widths" `Quick test_pool_widths;
+    Alcotest.test_case "dispatch" `Quick test_pool_order_dispatch;
+    QCheck_alcotest.to_alcotest prop_pool_random;
   ]

@@ -21,17 +21,49 @@ let test_counter_by_parallel () =
     "exact weighted total" (1000 * 999 / 2)
     (Metrics.counter_value c - before)
 
-(* Pool workers race to force a lazily registered counter first (a
-   [lazy] value raises [CamlinternalLazy.Undefined] when two domains
-   force it together); every bump lands on the one registered counter. *)
+(* Registration on first use, forced by racing pool workers and then by
+   connection-style systhreads. Each registration sleeps, so the first
+   caller is still registering when the others arrive: a [lazy] value
+   raises [CamlinternalLazy.Undefined] there, [Metrics.lazily] hands
+   every caller the one registered metric. *)
+let slowly register name =
+  Thread.delay 0.02;
+  register name
+
 let test_lazy_counter_parallel () =
-  let get = Metrics.lazy_counter "test.lazy_parallel" in
+  let get = Metrics.lazily (slowly Metrics.counter) "test.lazy_parallel" in
   let n = 10_000 in
   Xpose_cpu.Pool.with_pool ~workers:4 (fun pool ->
       Xpose_cpu.Pool.parallel_for pool ~lo:0 ~hi:n (fun _ ->
           Metrics.incr (get ())));
   Alcotest.(check int) "exact total" n
-    (Metrics.counter_value (Metrics.counter "test.lazy_parallel"))
+    (Metrics.counter_value (Metrics.counter "test.lazy_parallel"));
+  let gauge = Metrics.lazily (slowly Metrics.gauge) "test.lazy_threads_gauge" in
+  let hist =
+    Metrics.lazily (slowly Metrics.histogram) "test.lazy_threads_hist"
+  in
+  let threads = 8 and per_thread = 100 in
+  let errors = Atomic.make 0 in
+  let workers =
+    List.init threads (fun t ->
+        Thread.create
+          (fun () ->
+            try
+              for i = 1 to per_thread do
+                Metrics.set_gauge (gauge ()) (float_of_int t);
+                Metrics.observe (hist ()) (float_of_int i)
+              done
+            with _ -> Atomic.incr errors)
+          ())
+  in
+  List.iter Thread.join workers;
+  Alcotest.(check int) "no thread failed" 0 (Atomic.get errors);
+  Alcotest.(check int) "every observation on one histogram"
+    (threads * per_thread)
+    (Metrics.histogram_count (Metrics.histogram "test.lazy_threads_hist"));
+  Alcotest.(check bool) "gauge holds a thread's write" true
+    (let v = Metrics.gauge_value (Metrics.gauge "test.lazy_threads_gauge") in
+     v >= 0.0 && v < float_of_int threads)
 
 let test_shards_sum () =
   let c = Metrics.counter "test.shard_sum" in

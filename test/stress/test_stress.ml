@@ -5,7 +5,7 @@
 open Xpose_core
 module S = Storage.Int_elt
 module A = Instances.I
-module Cache = Xpose_cpu.Cache_aware.Make (S)
+module Fused = Xpose_cpu.Fused.Make (S)
 module Cycle = Xpose_baselines.Cycle_follow.Make (S)
 module Gus = Xpose_baselines.Gustavson.Make (S)
 module SungI = Xpose_baselines.Sung.Make (S)
@@ -63,8 +63,7 @@ let test_exhaustive_cache_aware () =
   for m = 1 to limit do
     for n = 1 to limit do
       let p = Plan.make ~m ~n in
-      let tmp = S.create (Plan.scratch_elements p) in
-      check "cache-aware" ~m ~n (fun b -> Cache.c2r ~width:5 p b ~tmp)
+      check "cache-aware" ~m ~n (fun b -> Fused.c2r ~panel_width:5 p b)
     done
   done
 
