@@ -367,7 +367,7 @@ let engine_rollups results =
     [
       rollup results ~subject:"engine ooc"
         ~detail:
-          "window row shuffles + stripe gather/scatter; column compute \
+          "window row shuffles + stripe panel hand-offs; column compute \
            runs the fused panel certificates under the local m x w plan"
         ~passes:
           (pass_names Xpose_ooc.Ooc_access.all @ panel_passes

@@ -126,7 +126,7 @@ val ooc_barriers :
   barrier list
 (** [Xpose_ooc.Ooc_f64.transpose_file] under a [window_bytes] budget:
     window-granular barriers proving the row-window, column-panel and
-    gather/scatter-stripe splits cover the file without overlap (each
+    panel hand-off stripe splits cover the file without overlap (each
     window is one chunk with its own mapping), plus the per-window pool
     barriers the engine runs inside them — the row shuffle split across
     a window's rows, and the staged panel passes split across a panel's

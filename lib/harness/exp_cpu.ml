@@ -2,11 +2,11 @@
     randomly sized matrices of 64-bit elements.
 
     Paper setup: 1000 matrices, m,n uniform in [1000, 10000), Core i7 950.
-    Default here: dimensions scaled by 10 (m,n in [100, 1000)) and fewer
-    samples so the experiment completes quickly on one core; pass a larger
-    [scale] to move toward the paper's sizes. The container exposes a
-    single core, so the multi-threaded row measures parallel overhead, not
-    speedup — see EXPERIMENTS.md. *)
+    Default here: 24 matrices with m,n in [100, 600) so the experiment
+    completes in seconds; pass a larger [scale] to move toward the
+    paper's sizes. The pooled rows (fused C2R and Gustavson) run on a
+    4-lane pool, so they measure threads and algorithm together — see
+    EXPERIMENTS.md. *)
 
 open Xpose_core
 module S = Storage.Float64

@@ -18,18 +18,24 @@ let map_range ?(write = true) fd ~pos ~len =
   in
   Bigarray.array1_of_genarray gen
 
+external unmap : ('a, 'b, 'c) Bigarray.Array1.t -> bool = "xpose_fm_unmap"
+
 let with_map ?(write = true) ~path f =
   with_fd ~write ~path (fun fd ->
       let bytes = (Unix.fstat fd).Unix.st_size in
       if bytes mod 8 <> 0 then
         invalid_arg "File_matrix.with_map: file length is not a multiple of 8";
-      let r = f (map_range ~write fd ~pos:0 ~len:(bytes / 8)) in
-      (* A shared writable mapping reaches the page cache as soon as the
-         stores land; the fsync pushes it to stable storage before the
-         fd closes. The read-only path maps privately and has nothing to
-         sync. *)
-      if write then Unix.fsync fd;
-      r)
+      let buf = map_range ~write fd ~pos:0 ~len:(bytes / 8) in
+      Fun.protect
+        ~finally:(fun () -> ignore (unmap buf))
+        (fun () ->
+          let r = f buf in
+          (* A shared writable mapping reaches the page cache as soon as
+             the stores land; the fsync pushes it to stable storage
+             before the fd closes. The read-only path maps privately and
+             has nothing to sync. *)
+          if write then Unix.fsync fd;
+          r))
 
 let transpose_file ?ws ~path ~m ~n () =
   if m < 1 || n < 1 then

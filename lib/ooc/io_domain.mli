@@ -1,10 +1,11 @@
 (** A dedicated I/O domain: one worker running queued thunks in order.
 
     The out-of-core engine overlaps I/O with compute by handing
-    map-and-prefault (and scatter-back) work for window [k+1] to this
-    domain while the {!Xpose_cpu.Pool} workers permute window [k]. Jobs
-    run strictly in submission order, so a scatter of the previous
-    staging and a gather into the same staging never reorder.
+    map-and-prefault work for row window [k+1] (and the column panel
+    hand-off that fills the staging of panel [k+1]) to this domain while
+    the {!Xpose_cpu.Pool} workers permute window [k]. Jobs run strictly
+    in submission order, so hand-offs on the same staging never
+    reorder.
 
     Completion is published under a mutex, so everything the job wrote
     happens-before {!await} returning — the caller may freely read the

@@ -1,6 +1,6 @@
 (* Symbolic access summaries of the out-of-core passes (Ooc_f64): the
-   row-shuffle over a mapped row window and the panel gather/scatter
-   between a stripe window and the staging buffer. The window geometry
+   row-shuffle over a mapped row window and the panel hand-off between
+   a stripe window and the staging buffer. The window geometry
    is fully parametric -- window bounds, pool sub-ranges, and panel
    budgets are parameters with their defining inequalities -- so one
    certificate covers every --window-bytes budget and every Window.split
@@ -78,78 +78,76 @@ let shuffle_rows ~ungather =
     exact = true;
   }
 
-(* Panel staging: one stripe window [s_lo, s_hi) of rows is mapped; the
-   column panel [pan_lo, pan_hi) (clipped to the per-panel budget [per]
-   and to n) is copied between the stripe and the staging buffer, which
-   is indexed by the global row: stag[i*w + jj] with w = pan_hi - pan_lo
-   and capacity m * min(per, n). *)
-let panel_params =
+(* Panel hand-off (Ooc_f64.exchange_panel): one stripe window [s_lo,
+   s_hi) of rows is mapped and, row by row, the finished panel [out_lo,
+   out_hi) is copied from the staging into the stripe, then the next
+   panel [in_lo, in_hi) from the stripe into the staging. Either panel
+   may be empty (the first gather, the last scatter). Both are clipped
+   to the per-panel budget [per] and to n. The staging is one buffer
+   (both schedules drain and refill the same one), indexed by the
+   global row: stag[i*w + jj] for a panel of width w, capacity
+   m * min(per, n). *)
+let panel_range ~lo ~hi =
   [
-    { name = "per"; p_lo = Const 1; p_his = []; sample = [ 1; 2; 3; 5 ] };
     {
-      name = "s_hi";
+      name = lo;
       p_lo = Const 0;
-      p_his = [ m ];
-      sample = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ];
-    };
-    {
-      name = "s_lo";
-      p_lo = Const 0;
-      p_his = [ var "s_hi" ];
-      sample = [ 0; 1; 2; 3; 4; 5; 6 ];
-    };
-    {
-      name = "pan_lo";
-      p_lo = Const 0;
-      p_his = [ n -: num 1 ];
+      p_his = [ n ];
       sample = [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ];
     };
     {
-      name = "pan_hi";
-      p_lo = var "pan_lo" +: num 1;
-      p_his = [ n; var "pan_lo" +: var "per" ];
-      sample = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ];
+      name = hi;
+      p_lo = var lo;
+      p_his = [ n; var lo +: var "per" ];
+      sample = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ];
     };
   ]
 
-let panel_regions =
-  [
-    { rname = "win"; size = (var "s_hi" -: var "s_lo") *: n };
-    { rname = "stag"; size = m *: Min (var "per", n) };
-  ]
-
-let stripe_body ~gather =
-  let width = var "pan_hi" -: var "pan_lo" in
-  let win_ix = ((var "i" -: var "s_lo") *: n) +: var "pan_lo" +: var "jj"
-  and stag_ix = (var "i" *: width) +: var "jj" in
-  [
-    for_ "i" (var "s_lo") (var "s_hi")
+let exchange_panel =
+  let copy ~lo ~hi ~jj ~scatter =
+    let width = var hi -: var lo in
+    let win_ix = ((var "i" -: var "s_lo") *: n) +: var lo +: var jj
+    and stag_ix = (var "i" *: width) +: var jj in
+    for_ jj (num 0) width
+      (if scatter then [ read "stag" stag_ix; write "win" win_ix ]
+       else [ read "win" win_ix; write "stag" stag_ix ])
+  in
+  {
+    pass = "ooc.exchange_panel";
+    basis = Free_basis;
+    params =
       [
-        for_ "jj" (num 0) width
-          (if gather then [ read "win" win_ix; write "stag" stag_ix ]
-           else [ read "stag" stag_ix; write "win" win_ix ]);
+        { name = "per"; p_lo = Const 1; p_his = []; sample = [ 1; 2; 3; 5 ] };
+        {
+          name = "s_hi";
+          p_lo = Const 0;
+          p_his = [ m ];
+          sample = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ];
+        };
+        {
+          name = "s_lo";
+          p_lo = Const 0;
+          p_his = [ var "s_hi" ];
+          sample = [ 0; 1; 2; 3; 4; 5; 6 ];
+        };
+      ]
+      @ panel_range ~lo:"out_lo" ~hi:"out_hi"
+      @ panel_range ~lo:"in_lo" ~hi:"in_hi";
+    regions =
+      [
+        { rname = "win"; size = (var "s_hi" -: var "s_lo") *: n };
+        { rname = "stag"; size = m *: Min (var "per", n) };
       ];
-  ]
-
-let gather_panel =
-  {
-    pass = "ooc.gather_panel";
-    basis = Free_basis;
-    params = panel_params;
-    regions = panel_regions;
-    body = stripe_body ~gather:true;
-    exact = true;
-  }
-
-let scatter_panel =
-  {
-    pass = "ooc.scatter_panel";
-    basis = Free_basis;
-    params = panel_params;
-    regions = panel_regions;
-    body = stripe_body ~gather:false;
+    body =
+      [
+        for_ "i" (var "s_lo") (var "s_hi")
+          [
+            copy ~lo:"out_lo" ~hi:"out_hi" ~jj:"jj" ~scatter:true;
+            copy ~lo:"in_lo" ~hi:"in_hi" ~jj:"jj2" ~scatter:false;
+          ];
+      ];
     exact = true;
   }
 
 let all = [ shuffle_rows ~ungather:false; shuffle_rows ~ungather:true;
-            gather_panel; scatter_panel ]
+            exchange_panel ]

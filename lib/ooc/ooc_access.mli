@@ -14,12 +14,11 @@ val shuffle_rows : ungather:bool -> Access.summary
     ([ungather:false], C2R) or [d'] ([ungather:true], R2C) at
     window-relative offsets. Exact. *)
 
-val gather_panel : Access.summary
-(** Stripe-window to staging-buffer panel copy ([per] = the panel
-    column budget; the panel [pan_lo, pan_hi) satisfies
-    [pan_hi <= min(n, pan_lo + per)]). Exact. *)
-
-val scatter_panel : Access.summary
-(** Inverse of {!gather_panel}: staging back into the stripe window. *)
+val exchange_panel : Access.summary
+(** One stripe window's share of a panel hand-off: per row, the
+    finished panel [out_lo, out_hi) is copied from the staging buffer
+    into the stripe, then the next panel [in_lo, in_hi) from the stripe
+    into the staging. Either range may be empty; each satisfies
+    [hi <= min(n, lo + per)] with [per] the panel column budget. Exact. *)
 
 val all : Access.summary list

@@ -18,10 +18,11 @@ let g_peak = Xpose_obs.Metrics.(lazily gauge "ooc.window_peak_bytes")
 
 (* -- residency ledger ------------------------------------------------------
 
-   Logical residency: bytes of mappings and stagings currently live, the
-   high-water mark published as the [ooc.window_peak_bytes] gauge. The
-   compute domain and the I/O domain both map and release, hence the
-   atomics. *)
+   Residency: bytes of mappings and stagings currently live, the
+   high-water mark published as the [ooc.window_peak_bytes] gauge. Every
+   mapping is unmapped as soon as it is used, so the ledger tracks the
+   mappings that really exist. The compute domain and the I/O domain
+   both map and release, hence the atomics. *)
 
 type ledger = { cur : int Atomic.t; peak : int Atomic.t }
 
@@ -40,13 +41,18 @@ let resident led bytes =
 
 let released led bytes = ignore (Atomic.fetch_and_add led.cur (-bytes))
 
-let map_counted led ?(write = true) fd ~pos ~len =
+let map_counted led fd ~pos ~len =
   Xpose_obs.Metrics.incr (m_windows ());
   Xpose_obs.Metrics.incr ~by:(len * 8) (m_bytes ());
   resident led (len * 8);
-  FM.map_range ~write fd ~pos ~len
+  FM.map_range fd ~pos ~len
 
-let unmap_counted led ~len = released led (len * 8)
+(* The other half of [map_counted]: unmap [a] now and debit the ledger
+   by its own length. [a] is dead afterwards. *)
+let unmap_counted led (a : buf) =
+  let bytes = Bigarray.Array1.dim a * 8 in
+  ignore (FM.unmap a);
+  released led bytes
 
 let count_await job =
   if Io_domain.await job then Xpose_obs.Metrics.incr (m_hits ())
@@ -123,9 +129,8 @@ let row_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~ungather =
     slots.(k) <- Some a
   in
   let release k =
-    let w = windows.(k) in
-    slots.(k) <- None;
-    unmap_counted led ~len:((w.Window.hi - w.Window.lo) * p.n)
+    unmap_counted led (Option.get slots.(k));
+    slots.(k) <- None
   in
   let compute k =
     let w = windows.(k) in
@@ -160,44 +165,47 @@ let row_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~ungather =
 (* -- column phases ---------------------------------------------------------
 
    The stride-[n] passes run on a contiguous [m x w] staging per column
-   panel, filled and drained through bounded row stripes. [visit] gets a
-   local plan whose pitch is the panel width and the panel's global
-   column base, so rotation amounts are taken at global indices while
-   the fused primitives index the staging. *)
+   panel. [visit] gets a local plan whose pitch is the panel width and
+   the panel's global column base, so rotation amounts are taken at
+   global indices while the fused primitives index the staging.
 
-let gather_panel ~led ~s_per (p : Plan.t) fd (pan : Window.t) (stag : buf) =
-  let w = pan.Window.hi - pan.Window.lo in
-  List.iter
-    (fun (st : Window.t) ->
-      let len = (st.Window.hi - st.Window.lo) * p.n in
-      let win = map_counted led ~write:false fd ~pos:(st.Window.lo * p.n) ~len in
-      for i = st.Window.lo to st.Window.hi - 1 do
-        let src = ((i - st.Window.lo) * p.n) + pan.Window.lo in
-        let dst = i * w in
-        for jj = 0 to w - 1 do
-          Bigarray.Array1.unsafe_set stag (dst + jj)
-            (Bigarray.Array1.unsafe_get win (src + jj))
-        done
-      done;
-      unmap_counted led ~len)
-    (Window.split ~total:p.m ~per:s_per)
+   Panels hand off through [exchange_panel]: one sweep over bounded row
+   stripes, each mapped once, that scatters the finished panel's columns
+   out of the staging and gathers the next panel's columns into the same
+   staging, row by row. Row [i] of the gathered panel lands in
+   [[i*g_w, (i+1)*g_w)], which lies below [(i+1)*s_w], so it only
+   overwrites rows already scattered as long as [g_w <= s_w]: panels
+   run in order and only the last one is narrower. The first gather and
+   the last scatter are the one-sided cases. *)
 
-let scatter_panel ~led ~s_per (p : Plan.t) fd (pan : Window.t) (stag : buf) =
-  let w = pan.Window.hi - pan.Window.lo in
-  List.iter
-    (fun (st : Window.t) ->
-      let len = (st.Window.hi - st.Window.lo) * p.n in
-      let win = map_counted led fd ~pos:(st.Window.lo * p.n) ~len in
-      for i = st.Window.lo to st.Window.hi - 1 do
-        let src = i * w in
-        let dst = ((i - st.Window.lo) * p.n) + pan.Window.lo in
-        for jj = 0 to w - 1 do
-          Bigarray.Array1.unsafe_set win (dst + jj)
-            (Bigarray.Array1.unsafe_get stag (src + jj))
-        done
-      done;
-      unmap_counted led ~len)
-    (Window.split ~total:p.m ~per:s_per)
+let exchange_panel ~led ~s_per (p : Plan.t) fd ?scatter ?gather (stag : buf) =
+  let span = function
+    | None -> (0, 0)
+    | Some (pan : Window.t) -> (pan.Window.lo, pan.Window.hi - pan.Window.lo)
+  in
+  let s_lo, s_w = span scatter and g_lo, g_w = span gather in
+  if s_w > 0 || g_w > 0 then
+    List.iter
+      (fun (st : Window.t) ->
+        let win =
+          map_counted led fd ~pos:(st.Window.lo * p.n)
+            ~len:((st.Window.hi - st.Window.lo) * p.n)
+        in
+        for i = st.Window.lo to st.Window.hi - 1 do
+          let row = (i - st.Window.lo) * p.n in
+          let src = i * s_w and dst = row + s_lo in
+          for jj = 0 to s_w - 1 do
+            Bigarray.Array1.unsafe_set win (dst + jj)
+              (Bigarray.Array1.unsafe_get stag (src + jj))
+          done;
+          let src = row + g_lo and dst = i * g_w in
+          for jj = 0 to g_w - 1 do
+            Bigarray.Array1.unsafe_set stag (dst + jj)
+              (Bigarray.Array1.unsafe_get win (src + jj))
+          done
+        done;
+        unmap_counted led win)
+      (Window.split ~total:p.m ~per:s_per)
 
 let col_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~pred visit =
   Xpose_obs.Tracer.pass ~name ~rows:p.m ~cols:p.n ~pred_touches:pred
@@ -207,14 +215,14 @@ let col_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~pred visit =
   let s_per = Window.stripe_rows ~budget_elems:budget ~n:p.n in
   let panels = Array.of_list (Window.split ~total:p.n ~per:w_per) in
   let k_max = Array.length panels in
+  let panel k = if k >= 0 && k < k_max then Some panels.(k) else None in
   let w_max = min w_per p.n in
   let stag_bytes = p.m * w_max * 8 in
   let make_staging () =
     resident led stag_bytes;
     Storage.Float64.create (p.m * w_max)
   in
-  let gather = gather_panel ~led ~s_per p fd
-  and scatter = scatter_panel ~led ~s_per p fd in
+  let exchange = exchange_panel ~led ~s_per p fd in
   let compute (pan : Window.t) stag =
     let w = pan.Window.hi - pan.Window.lo in
     span_window ~rows:p.m ~cols:w ~pred:(Pass_cost.ooc_panel_window p ~width:w)
@@ -226,32 +234,32 @@ let col_pass ~led ~io ~pool ~wss ~budget (p : Plan.t) fd ~name ~pred visit =
   in
   match io with
   | None ->
+      (* One staging: panel [k] out, panel [k+1] in. *)
       let stag = make_staging () in
-      Array.iter
-        (fun pan ->
-          gather pan stag;
-          compute pan stag;
-          scatter pan stag)
-        panels;
+      exchange ?gather:(panel 0) stag;
+      for k = 0 to k_max - 1 do
+        compute panels.(k) stag;
+        exchange ?scatter:(panel k) ?gather:(panel (k + 1)) stag
+      done;
       released led stag_bytes
   | Some io ->
       (* Two stagings, even panels in [a], odd in [b]. The I/O domain
-         runs jobs in order, so job [k+1] scatters panel [k-1] (same
-         staging parity as [k+1]) before gathering panel [k+1] into it,
-         while the pool computes panel [k] on the other staging. *)
+         runs jobs in order, so job [k+1] hands panel [k-1] out of, and
+         panel [k+1] into, the staging of their shared parity while the
+         pool computes panel [k] on the other one. *)
       let a = make_staging () and b = make_staging () in
       let stag k = if k land 1 = 0 then a else b in
-      let job = ref (Io_domain.async io (fun () -> gather panels.(0) (stag 0))) in
+      let job = ref (Io_domain.async io (fun () -> exchange ?gather:(panel 0) a)) in
       for k = 0 to k_max - 1 do
         count_await !job;
         job :=
           Io_domain.async io (fun () ->
-              if k >= 1 then scatter panels.(k - 1) (stag (k - 1));
-              if k + 1 < k_max then gather panels.(k + 1) (stag (k + 1)));
+              exchange ?scatter:(panel (k - 1)) ?gather:(panel (k + 1))
+                (stag (k + 1)));
         compute panels.(k) (stag k)
       done;
       ignore (Io_domain.await !job);
-      scatter panels.(k_max - 1) (stag (k_max - 1));
+      exchange ?scatter:(panel (k_max - 1)) (stag (k_max - 1));
       released led stag_bytes;
       released led stag_bytes
 
@@ -287,7 +295,7 @@ let transpose_file ?(order = Layout.Row_major) ?(pool = Pool.sequential)
     let buf = map_counted led fd ~pos:0 ~len:total in
     span_window ~rows:p.m ~cols:p.n ~pred:(Pass_cost.ooc_row_window p ~rows:p.m)
       (fun () -> if c2r_side then FF.c2r_pool pool p buf else FF.r2c_pool pool p buf);
-    unmap_counted led ~len:total
+    unmap_counted led buf
   end
   else if p.m = 1 || p.n = 1 then
     (* A degenerate matrix is its own transpose: no pass runs, nothing

@@ -10,26 +10,34 @@
       scratch ({!Xpose_core.Plan.d'} indexing is global, so a window is
       self-contained), and the mapping is dropped;
     - the {e column phases} (stride-[n] access) are blocked into
-      width-bounded column panels: each panel is gathered through
-      bounded row stripes into a contiguous RAM staging, permuted there
-      with the fused engine's panel primitives
+      width-bounded column panels, each permuted in a contiguous RAM
+      staging with the fused engine's panel primitives
       ({!Xpose_cpu.Fused_f64.rotate_columns} /
       {!Xpose_cpu.Fused_f64.permute_cols} on a local [m x w] plan, with
-      rotation amounts taken at global column indices), and scattered
-      back.
+      rotation amounts taken at global column indices). Panels hand off
+      through one sweep of bounded row stripes: each stripe is mapped
+      once, the finished panel's columns are scattered into it and the
+      next panel's columns gathered out of it.
+
+    Every mapping is unmapped ({!Xpose_mmap.File_matrix.unmap}) as soon
+    as it is used, so the mappings the ledger below counts are the ones
+    that exist; no collection is needed to release them.
 
     With [prefetch] (the default) a dedicated {!Io_domain} maps and
-    pre-faults window [k+1] — and scatters back finished panel [k-1] —
-    while the {!Xpose_cpu.Pool} workers permute window [k]: classic
-    double buffering, two row windows or two stagings resident.
+    pre-faults row window [k+1] — and hands panel [k-1] out and panel
+    [k+1] in — while the {!Xpose_cpu.Pool} workers permute window or
+    panel [k]: classic double buffering, two row windows or two stagings
+    resident.
 
     Residency accounting ([ooc.*] metrics):
-    - [ooc.windows] — mappings created (row windows, stripes, panels
-      count one each; the fits-in-budget fast path counts one);
+    - [ooc.windows] — mappings created (row windows and stripes count
+      one each; the fits-in-budget fast path counts one);
     - [ooc.bytes_mapped] — total bytes ever mapped (not a peak);
     - [ooc.window_peak_bytes] — gauge, high-water mark of concurrently
       live window bytes (mapped windows + panel stagings). The window
-      split keeps this at most [3/4 * window_bytes] whenever the budget
+      split keeps this at most [window_bytes] — two half-budget row
+      windows in the row phases; two quarter-budget stagings and one
+      quarter-budget stripe in the column phases — whenever the budget
       holds at least two rows and two columns ([window_bytes >= 16 *
       max m n]); below that the engine degrades to single-row /
       single-column windows and the gauge reports the overshoot;

@@ -44,9 +44,11 @@ val row_rows : budget_elems:int -> n:int -> int
     [max 1 (budget / (2n))]. *)
 
 val stripe_rows : budget_elems:int -> n:int -> int
-(** Rows per gather/scatter stripe of the column phase: [max 1 (budget /
+(** Rows per panel hand-off stripe of the column phase: [max 1 (budget /
     (4n))], so one stripe rides alongside the two resident stagings. *)
 
 val panel_cols : budget_elems:int -> m:int -> int
-(** Columns per staged column panel such that two stagings (compute +
-    prefetch) fit in half the budget each: [max 1 (budget / (4m))]. *)
+(** Columns per staged column panel such that each of the two stagings
+    (compute + prefetch) fits in a quarter of the budget:
+    [max 1 (budget / (4m))]. With one stripe that keeps the column
+    phase at three quarters of the budget. *)

@@ -126,6 +126,89 @@ let test_generic_functor_on_map () =
           Alcotest.(check bool) "functor works on mapped file" true
             (Instances.F64.is_transpose_of ~m ~n ~original buf)))
 
+
+(* -- eager unmapping ------------------------------------------------------- *)
+
+exception Escaped of Storage.Float64.t
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let with_temp_file ~elements f =
+  let path = temp_path () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      File_matrix.create ~path ~elements;
+      f path)
+
+let test_unmap_releases () =
+  with_temp_file ~elements:1024 (fun path ->
+      (* map, write and release inside a function of its own, so the
+         released bigarray is garbage by the [Gc.full_major] below and
+         its runtime finalizer runs on a length-0 array *)
+      let write_and_release () =
+        File_matrix.with_fd ~path (fun fd ->
+            let a = File_matrix.map_range fd ~pos:3 ~len:600 in
+            for l = 0 to 599 do
+              Bigarray.Array1.set a l (float_of_int (l + 1))
+            done;
+            Alcotest.(check bool) "a mapping is released" true
+              (File_matrix.unmap a);
+            Alcotest.(check int) "length is 0 afterwards" 0
+              (Bigarray.Array1.dim a);
+            Alcotest.(check bool) "a checked read raises" true
+              (raises_invalid (fun () -> Bigarray.Array1.get a 0));
+            Alcotest.(check bool) "a checked write raises" true
+              (raises_invalid (fun () -> Bigarray.Array1.set a 0 1.0));
+            Alcotest.(check bool) "a second call does nothing" false
+              (File_matrix.unmap a);
+            Alcotest.(check int) "still length 0" 0 (Bigarray.Array1.dim a))
+      in
+      write_and_release ();
+      Gc.full_major ();
+      File_matrix.with_map ~write:false ~path (fun buf ->
+          let ok = ref true in
+          for l = 0 to 1023 do
+            let expected =
+              if l >= 3 && l < 603 then float_of_int (l - 2) else 0.0
+            in
+            if Bigarray.Array1.get buf l <> expected then ok := false
+          done;
+          Alcotest.(check bool)
+            "the file keeps what was written through the shared map" true !ok))
+
+let test_unmap_refuses () =
+  Alcotest.(check bool) "an in-RAM bigarray is refused" false
+    (File_matrix.unmap (Storage.Float64.create 16));
+  let ram = Storage.Float64.create 16 in
+  ignore (File_matrix.unmap ram);
+  Alcotest.(check int) "and left intact" 16 (Bigarray.Array1.dim ram);
+  with_temp_file ~elements:64 (fun path ->
+      File_matrix.with_fd ~path (fun fd ->
+          let a = File_matrix.map_range fd ~pos:0 ~len:64 in
+          let view = Bigarray.Array1.sub a 8 16 in
+          Alcotest.(check bool) "a mapping with a live sub-array is refused"
+            false (File_matrix.unmap a);
+          Bigarray.Array1.set view 0 5.0;
+          Alcotest.(check (float 0.0)) "the view still reaches the mapping" 5.0
+            (Bigarray.Array1.get a 8);
+          Alcotest.(check bool) "a sub-array itself is refused" false
+            (File_matrix.unmap view);
+          Alcotest.(check int) "the mapping keeps its length" 64
+            (Bigarray.Array1.dim a)))
+
+let test_with_map_unmaps () =
+  with_temp_file ~elements:32 (fun path ->
+      let escaped = File_matrix.with_map ~path (fun buf -> buf) in
+      Alcotest.(check int) "the buffer is dead after with_map" 0
+        (Bigarray.Array1.dim escaped);
+      let escaped =
+        try File_matrix.with_map ~write:false ~path (fun buf -> raise (Escaped buf))
+        with Escaped buf -> buf
+      in
+      Alcotest.(check int) "also when f raises" 0 (Bigarray.Array1.dim escaped))
+
 let () =
   Alcotest.run "xpose_mmap"
     [
@@ -140,5 +223,13 @@ let () =
           Alcotest.test_case "workspace reuse" `Quick test_workspace_reuse;
           Alcotest.test_case "generic functor on map" `Quick
             test_generic_functor_on_map;
+        ] );
+      ( "unmap",
+        [
+          Alcotest.test_case "releases a mapping" `Quick test_unmap_releases;
+          Alcotest.test_case "refuses what it cannot release" `Quick
+            test_unmap_refuses;
+          Alcotest.test_case "with_map releases its buffer" `Quick
+            test_with_map_unmaps;
         ] );
     ]

@@ -176,21 +176,47 @@ let test_io_domain_cancel_stop () =
    coprime and non-coprime on both C2R and R2C sides, prime x prime, and
    panel/window counts that are not multiples of the worker count. *)
 let oracle_shapes =
-  [ (1, 64); (64, 1); (29, 31); (31, 29); (32, 48); (48, 36); (97, 89); (16, 33) ]
+  (* >= 4 windows whenever any pass runs at all *)
+  List.map
+    (fun (m, n) -> (m, n, max 8 (m * n * 8 / 5)))
+    [ (1, 64); (64, 1); (29, 31); (31, 29); (32, 48); (48, 36); (97, 89); (16, 33) ]
 
-let run_oracle ~prefetch ~workers () =
+let run_oracle ?(shapes = oracle_shapes) ~prefetch ~workers () =
   List.iter
-    (fun (m, n) ->
+    (fun (m, n, window_bytes) ->
       with_file ~elements:(m * n) (fun path ->
-          (* >= 4 windows whenever any pass runs at all *)
-          let window_bytes = max 8 (m * n * 8 / 5) in
           let go pool =
             Ooc_f64.transpose_file ~pool ~window_bytes ~prefetch ~path ~m ~n ()
           in
           (if workers = 1 then go Xpose_cpu.Pool.sequential
            else Xpose_cpu.Pool.with_pool ~workers go);
           check_transposed ~m ~n path))
-    oracle_shapes
+    shapes
+
+(* Shapes whose last column panel is narrower than the rest, so the
+   hand-off that gathers it scatters a wider panel out of the same
+   staging: C2R (60 x 42) and R2C (42 x 60) with gcd 6 and a 2-column
+   last panel, and C2R (50 x 36, gcd 2) with a 1-column last panel. *)
+let narrow_last_panel = [ (60, 42, 9600); (42, 60, 9600); (50, 36, 8000) ]
+
+let test_narrow_last_panel () =
+  List.iter
+    (fun (m, n, window_bytes) ->
+      let per =
+        Window.panel_cols
+          ~budget_elems:(Window.budget_elems ~window_bytes)
+          ~m:(max m n)
+      in
+      let pn = min m n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d: last panel narrower than %d" m n per)
+        true
+        (pn mod per <> 0 && pn > per && m * n * 8 > window_bytes))
+    narrow_last_panel;
+  List.iter
+    (fun (prefetch, workers) ->
+      run_oracle ~shapes:narrow_last_panel ~prefetch ~workers ())
+    [ (true, 1); (false, 1); (true, 2); (false, 2); (true, 3); (false, 3) ]
 
 let test_fits_in_window () =
   List.iter
@@ -236,6 +262,71 @@ let test_bounded_residency () =
     (counter "ooc.bytes_mapped" > m * n * 8);
   Alcotest.(check bool) "every window was either a hit or a wait" true
     (counter "ooc.prefetch_hits" + counter "ooc.prefetch_waits" > 0)
+
+(* Exact mapping count for 96 x 80 (C2R, gcd 16) at a 16 KiB window,
+   2048 elements: 8 row windows of 12 rows; two column passes
+   (rotate_pre, fused_col) of 16 panels of 5 columns, each stripe sweep
+   mapping 16 stripes of 6 rows. Without prefetch a pass hands off in
+   16 + 1 sweeps (first gather, then one exchange per panel); with it,
+   in 16 + 2 (the second panel is gathered on its own, the last panel
+   scattered on its own). Separate gathers and scatters would map
+   2 * 16 sweeps per pass. *)
+let test_window_count () =
+  let m = 96 and n = 80 and window_bytes = 16384 in
+  let budget = Window.budget_elems ~window_bytes in
+  let count ws ~per = List.length (Window.split ~total:ws ~per) in
+  let rows = count m ~per:(Window.row_rows ~budget_elems:budget ~n) in
+  let panels = count n ~per:(Window.panel_cols ~budget_elems:budget ~m) in
+  let stripes = count m ~per:(Window.stripe_rows ~budget_elems:budget ~n) in
+  Alcotest.(check (list int)) "geometry" [ 8; 16; 16 ] [ rows; panels; stripes ];
+  List.iter
+    (fun (prefetch, sweeps, expected) ->
+      Alcotest.(check int) "windows from the geometry" expected
+        (rows + (2 * sweeps * stripes));
+      Xpose_obs.Metrics.reset ();
+      with_file ~elements:(m * n) (fun path ->
+          Ooc_f64.transpose_file ~window_bytes ~prefetch ~path ~m ~n ();
+          check_transposed ~m ~n path);
+      Alcotest.(check int)
+        (Printf.sprintf "ooc.windows, prefetch %b" prefetch)
+        expected
+        (Xpose_obs.Metrics.counter_value (Xpose_obs.Metrics.counter "ooc.windows")))
+    [ (true, panels + 2, 584); (false, panels + 1, 552) ]
+
+(* Every mapping is released before [transpose_file] returns, with no
+   collection forced: /proc/self/maps lists none of the file. A line is
+   the file's when both its inode and its file name match, so neither a
+   symlinked temp directory nor an unrelated file with the same inode
+   number on another device can confuse the count. *)
+let maps_of_file path =
+  let ino = string_of_int (Unix.stat path).Unix.st_ino in
+  let base = Filename.basename path in
+  In_channel.with_open_bin "/proc/self/maps" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun line ->
+         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+         | _ :: _ :: _ :: _ :: inode :: file :: _ ->
+             inode = ino && Filename.basename file = base
+         | _ -> false)
+  |> List.length
+
+let test_no_mapping_survives () =
+  (match In_channel.with_open_bin "/proc/self/maps" In_channel.input_line with
+  | Some _ -> ()
+  | None | (exception Sys_error _) -> Alcotest.skip ());
+  let m = 96 and n = 80 in
+  List.iter
+    (fun (prefetch, workers) ->
+      with_file ~elements:(m * n) (fun path ->
+          Xpose_cpu.Pool.with_pool ~workers (fun pool ->
+              Ooc_f64.transpose_file ~pool ~window_bytes:16384 ~prefetch ~path
+                ~m ~n ());
+          Alcotest.(check int)
+            (Printf.sprintf "mappings left (prefetch %b, %d workers)" prefetch
+               workers)
+            0 (maps_of_file path);
+          check_transposed ~m ~n path))
+    [ (true, 1); (false, 1); (true, 3) ]
 
 let test_no_prefetch_counters () =
   Xpose_obs.Metrics.reset ();
@@ -295,6 +386,8 @@ let () =
             (run_oracle ~prefetch:true ~workers:3);
           Alcotest.test_case "3 workers, no prefetch" `Quick
             (run_oracle ~prefetch:false ~workers:3);
+          Alcotest.test_case "narrower last panel" `Quick
+            test_narrow_last_panel;
           Alcotest.test_case "fits in one window" `Quick test_fits_in_window;
           Alcotest.test_case "column-major order" `Quick test_col_major_order;
         ] );
@@ -303,6 +396,9 @@ let () =
           Alcotest.test_case "bounded residency" `Quick test_bounded_residency;
           Alcotest.test_case "no-prefetch counters" `Quick
             test_no_prefetch_counters;
+          Alcotest.test_case "exact window count" `Quick test_window_count;
+          Alcotest.test_case "no mapping survives the call" `Quick
+            test_no_mapping_survives;
         ] );
       ("errors", [ Alcotest.test_case "invalid arguments" `Quick test_errors ]);
     ]
